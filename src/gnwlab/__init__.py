@@ -61,6 +61,7 @@ from .theory import (
     BandwidthRange,
     RiskBoundReport,
     TheoryReport,
+    WindowMoments,
     bandwidth_admissible_range,
     bias_uniform_bound,
     concentration_envelope,
@@ -78,6 +79,7 @@ from .theory import (
     theory_report,
     variance_lower_bound,
     variance_upper_bound,
+    window_moments,
 )
 
 __version__ = "0.1.0"

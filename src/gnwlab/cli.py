@@ -75,11 +75,6 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _scenario_b_n(config: ScenarioConfig, x):
-    b, err = theory.smoothed_value(config.density, config.kernel, config.regression, x)
-    return b, err
-
-
 # ---------------------------------------------------------------------------
 # verify suites
 # ---------------------------------------------------------------------------
@@ -88,10 +83,10 @@ def _scenario_b_n(config: ScenarioConfig, x):
 def _suite_expectation(config, R, threads):
     rows = []
     for x in config.query_points:
-        t = theory.expectation_gnw(config.density, config.kernel, config.regression, x, config.n)
+        m = theory.window_moments(config.density, config.kernel, config.regression, x)
+        t = m.expectation(config.n)
         batch = run_replications(config, x, R, threads=threads)
-        b_n, _ = _scenario_b_n(config, x)
-        rep = estimate_moments(batch, b_n, seed=config.master_seed)
+        rep = estimate_moments(batch, m.b_n, seed=config.master_seed)
         # rule-of-three floor: events below Monte Carlo resolution can leave
         # the sample SE at exactly 0 while the formula still carries them
         slack = 5.0 * rep.se_mean + 3.0 / R
@@ -106,14 +101,13 @@ def _suite_variance(config, R, threads):
     B = config.regression.bound
     sigma_sq = config.noise.variance
     for x in config.query_points:
-        c, _ = theory.local_connection(config.density, config.kernel, x)
-        d_n = config.n * c
+        m = theory.window_moments(config.density, config.kernel, config.regression, x)
+        d_n = config.n * m.c_n
         if d_n <= 0:
             rows.append(VerificationRow(f"variance_upper@{_point_tag(x)}", 0.0, 0.0, 0.0, False))
             continue
-        b_n, _ = _scenario_b_n(config, x)
         batch = run_replications(config, x, R, threads=threads)
-        rep = estimate_moments(batch, b_n, seed=config.master_seed)
+        rep = estimate_moments(batch, m.b_n, seed=config.master_seed)
         upper = theory.variance_upper_bound(B, sigma_sq, d_n)
         lower = theory.variance_lower_bound(sigma_sq, d_n)
         slack = 3.0 * rep.se_variance_proxy
@@ -136,11 +130,10 @@ def _suite_concentration(config, R, threads):
     _require(B > 0, "the concentration suite needs a positive sup bound B")
     rows = []
     for x in config.query_points:
-        c, _ = theory.local_connection(config.density, config.kernel, x)
-        d_n = config.n * c
-        b_n, _ = _scenario_b_n(config, x)
+        m = theory.window_moments(config.density, config.kernel, config.regression, x)
+        d_n = config.n * m.c_n
         batch = run_replications(config, x, R, threads=threads)
-        tails = estimate_tail(batch, b_n, config.deltas)
+        tails = estimate_tail(batch, m.b_n, config.deltas)
         for t in tails:
             bound, _rate = theory.concentration_envelope(t.delta, B, sigma, d_n)
             slack = 3.0 * t.se
@@ -158,11 +151,10 @@ def _suite_bias(config, R, threads):
     bound = theory.bias_uniform_bound(L, a, config.kernel.m2, config.kernel.h) if L > 0 else 0.0
     rows = []
     for x in config.query_points:
-        b_n, err = _scenario_b_n(config, x)
-        fx = config.regression.eval_one(x)
-        gap = abs(b_n - fx)
+        m = theory.window_moments(config.density, config.kernel, config.regression, x)
+        gap = abs(m.b_n - config.regression.eval_one(x))
         rows.append(VerificationRow(
-            f"bias@{_point_tag(x)}", bound, gap, err, gap <= bound + err,
+            f"bias@{_point_tag(x)}", bound, gap, m.b_err, gap <= bound + m.b_err,
         ))
     return rows
 
@@ -206,6 +198,7 @@ def _suite_risk(config, R, threads):
 
 
 def _suite_decoupling(config, R, threads):
+    """Exhaustive ratio-weight identity rows for n = 1..12; needs no scenario."""
     rows = []
     for n in range(1, 13):
         report = decoupling_selftest(n)
@@ -250,7 +243,10 @@ def cmd_verify(config: ScenarioConfig, suite: str, threads: int = 1,
     if suite not in _SUITE_FUNCS:
         raise ConfigError(f"unknown suite {suite!r}; valid: {', '.join(SUITES)}")
     R = replications if replications is not None else config.replications
-    rows = _SUITE_FUNCS[suite](config, R, threads)
+    return _with_exit_code(_SUITE_FUNCS[suite](config, R, threads))
+
+
+def _with_exit_code(rows):
     return rows, 0 if all(r.verdict for r in rows) else 1
 
 
@@ -328,13 +324,8 @@ def cmd_figure(config: ScenarioConfig, kind: str) -> str:
 
 
 def cmd_selftest():
-    rows = []
-    for n in range(1, 13):
-        report = decoupling_selftest(n)
-        rows.append(VerificationRow(
-            f"decoupling@n={n}", 0.0, 0.0 if report.passed else 1.0, 0.0, report.passed,
-        ))
-    return rows, 0 if all(r.verdict for r in rows) else 1
+    """The decoupling suite without a scenario; returns (rows, exit_code)."""
+    return _with_exit_code(_suite_decoupling(config=None, R=None, threads=1))
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +381,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         config = None
         if args.config is not None:
             config = parse_config(args.config)
@@ -429,3 +422,7 @@ def main(argv=None) -> int:
 
 def console_main():
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_main()

@@ -78,8 +78,7 @@ def tradeoff_svg(config, grid_points: int = 257) -> str:
     gx = np.linspace(float(lo[0]), float(hi[0]), grid_points)
     f_true = config.regression.evaluate(gx[:, None])
 
-    probs = config.kernel.edge_probabilities(gx[:, None, None], pts[0][None, :, :])
-    edges = (u[None, :] < probs).astype(np.float64)
+    edges = sampler.edges(gx[:, None, None], pts[0][None, :, :], u)
     est, _ = predict_rows(np.broadcast_to(y, edges.shape), edges)
 
     y_all = np.concatenate([y, f_true, est])

@@ -62,9 +62,9 @@ class NeighborhoodSampler:
     """Draws query neighborhoods for one scenario, batch by batch.
 
     Latent points, noise and labels do not depend on the query point; only
-    the edge comparison does.  The sampler caches the most recent batch, so
-    sweeping many query points or replication ranges over the same data
-    reuses draws (common random numbers) instead of regenerating them.
+    the edge comparison does, so one drawn batch can serve every query point
+    whose replications fall in it.  The sampler keeps no state between
+    calls and may be shared by worker threads.
     """
 
     def __init__(self, density: Density, kernel: KernelSpec, regression: Regression,
@@ -78,45 +78,36 @@ class NeighborhoodSampler:
         self.n = int(n)
         self.master_seed = int(master_seed)
         self.rows = rngmod.batch_rows(self.n, density.dim)
-        self._cache_index: int | None = None
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def batch(self, batch_index: int):
         """(points, uniforms, labels) arrays of shape (rows, n[, d])."""
-        if batch_index == self._cache_index:
-            return self._cache
         shape = (self.rows, self.n)
         pts = self.density.sample(rngmod.stream(self.master_seed, rngmod.LATENT, batch_index), shape)
         unif = rngmod.stream(self.master_seed, rngmod.EDGE, batch_index).random(shape)
         eps = self.noise.sample(rngmod.stream(self.master_seed, rngmod.NOISE, batch_index), shape)
         labels = self.regression.evaluate(pts) + eps
-        self._cache_index = batch_index
-        self._cache = (pts, unif, labels)
-        return self._cache
+        return pts, unif, labels
 
-    def edge_rows(self, x: np.ndarray, batch_index: int, row_lo: int, row_hi: int):
-        """(labels, edges) float rows for replications in the given row range.
+    def edges(self, x, points: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Float edge indicators between x and points, given their uniforms.
 
         Edges fire when U < k(x, X): with half-open uniforms this makes
         probability-0 edges impossible and probability-1 edges certain.
+        Shapes broadcast as in ``KernelSpec.edge_probabilities``.
         """
-        pts, unif, labels = self.batch(batch_index)
-        probs = self.kernel.edge_probabilities(x, pts[row_lo:row_hi])
-        edges = (unif[row_lo:row_hi] < probs).astype(np.float64)
-        return labels[row_lo:row_hi], edges
+        return (uniforms < self.kernel.edge_probabilities(x, points)).astype(np.float64)
 
     def neighborhood(self, x, replication_index: int) -> QueryNeighborhood:
         if replication_index < 0:
             raise InvalidInputError("replication_index must be >= 0")
         x = as_point(x, dim=self.density.dim)
         b, r = divmod(int(replication_index), self.rows)
-        pts, _, _ = self.batch(b)
-        labels, edges = self.edge_rows(x, b, r, r + 1)
+        pts, unif, labels = self.batch(b)
         return QueryNeighborhood(
             x=x,
             points=pts[r].reshape(self.n, self.density.dim).copy(),
-            labels=labels[0].copy(),
-            edges=edges[0].astype(np.uint8),
+            labels=labels[r].copy(),
+            edges=self.edges(x, pts[r], unif[r]).astype(np.uint8),
             seed_record=SeedRecord(self.master_seed, b, r),
         )
 
@@ -186,11 +177,8 @@ def r_subset(edges, indices) -> float:
         raise InvalidInputError(f"subset indices must lie in [0, {n})")
     if len(set(idx)) != len(idx):
         raise InvalidInputError("subset indices must be distinct")
-    total = int(np.sum(edges))
-    if not idx:
-        return 1.0 / total if total > 0 else 0.0
-    inside = int(sum(int(edges[i]) for i in idx))
-    return 1.0 / (len(idx) + (total - inside))
+    denominator = _r_denominator(int(np.sum(edges)), edges, tuple(idx))
+    return 1.0 / denominator if denominator > 0 else 0.0
 
 
 def _r_denominator(total: int, edges, subset: tuple[int, ...]) -> int:

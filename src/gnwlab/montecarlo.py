@@ -1,11 +1,12 @@
 """Monte Carlo estimation of the graph estimator's moments, tails and risks.
 
-Replications are vectorised in fixed batches (see :mod:`gnwlab.graph`) and
-optionally spread over a worker pool; batch boundaries and the final
-reduction order are fixed by the scenario alone, so every estimate is
-bit-identical across thread counts.  An exhaustive 2^n enumeration oracle
-over the conditional edge distribution provides exact small-n expectations
-to check the Monte Carlo and the closed-form theory against.
+Replications are vectorised in fixed batches (see :mod:`gnwlab.graph`); one
+driver draws each batch once and runs the batches on a worker pool.  Batch
+boundaries and the final reduction order are fixed by the scenario alone, so
+every estimate is bit-identical across thread counts.  An exhaustive 2^n
+enumeration oracle over the conditional edge distribution provides exact
+small-n expectations to check the Monte Carlo and the closed-form theory
+against.
 """
 
 import math
@@ -97,29 +98,41 @@ class MCReport:
     b_n_reference: float = 0.0
 
 
-def _fill_range(sampler: NeighborhoodSampler, x: np.ndarray, rep_lo: int, rep_hi: int,
-                values: np.ndarray, masses: np.ndarray, out_offset: int) -> None:
-    """Compute predictions for replications [rep_lo, rep_hi) into the outputs."""
-    rows = sampler.rows
-    b = rep_lo // rows
-    while rep_lo < rep_hi:
-        row_lo = rep_lo - b * rows
-        row_hi = min(rep_hi - b * rows, rows)
-        labels, edges = sampler.edge_rows(x, b, row_lo, row_hi)
-        vals, mass = predict_rows(labels, edges)
-        k = row_hi - row_lo
-        values[out_offset:out_offset + k] = vals
-        masses[out_offset:out_offset + k] = mass
-        out_offset += k
-        rep_lo += k
-        b += 1
+def _map_replications(config, xs: np.ndarray, per_query: int,
+                      threads: int) -> PredictionBatch:
+    """Predictions for len(xs) * per_query replications, in replication order.
 
-
-def _worker_sampler(config) -> NeighborhoodSampler:
-    return NeighborhoodSampler(
+    Replication r queries xs[r // per_query].  Each batch is drawn once and
+    its rows are filled one query-point slice at a time; every batch is one
+    job on a pool of ``threads`` workers sharing a single sampler.
+    """
+    if threads < 1:
+        raise InvalidInputError(f"threads must be >= 1, got {threads}")
+    sampler = NeighborhoodSampler(
         config.density, config.kernel, config.regression, config.noise,
         config.n, config.master_seed,
     )
+    R = len(xs) * per_query
+    rows = sampler.rows
+    values = np.empty(R, dtype=np.float64)
+    masses = np.empty(R, dtype=np.float64)
+
+    def fill(b: int):
+        pts, unif, labels = sampler.batch(b)
+        lo = b * rows
+        hi = min(lo + rows, R)
+        t = lo
+        while t < hi:
+            q = t // per_query
+            t_hi = min((q + 1) * per_query, hi)
+            s = slice(t - lo, t_hi - lo)
+            values[t:t_hi], masses[t:t_hi] = predict_rows(
+                labels[s], sampler.edges(xs[q], pts[s], unif[s]))
+            t = t_hi
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, range((R + rows - 1) // rows)))
+    return PredictionBatch(values=values, masses=masses)
 
 
 def run_replications(config, x, R: int, master_seed: int | None = None,
@@ -130,24 +143,7 @@ def run_replications(config, x, R: int, master_seed: int | None = None,
     x = as_point(x, dim=config.dimension)
     if master_seed is not None and master_seed != config.master_seed:
         config = replace(config, master_seed=int(master_seed))
-    values = np.empty(R, dtype=np.float64)
-    masses = np.empty(R, dtype=np.float64)
-
-    rows = rngmod.batch_rows(config.n, config.dimension)
-    chunks = [(lo, min(lo + rows, R)) for lo in range(0, R, rows)]
-
-    if threads <= 1 or len(chunks) == 1:
-        sampler = _worker_sampler(config)
-        for lo, hi in chunks:
-            _fill_range(sampler, x, lo, hi, values, masses, lo)
-    else:
-        def work(chunk):
-            lo, hi = chunk
-            _fill_range(_worker_sampler(config), x, lo, hi, values, masses, lo)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, chunks))
-    return PredictionBatch(values=values, masses=masses)
+    return _map_replications(config, x[None], R, threads)
 
 
 def estimate_moments(predictions, b_n_reference: float, seed: int = 0,
@@ -248,41 +244,15 @@ def estimate_integrated_risk(config, R_outer: int, R_inner: int,
     xs = config.density.sample(rngmod.stream(master, rngmod.QUERY, 0), (R_outer,))
     fxs = config.regression.evaluate(xs)
 
-    R = R_outer * R_inner
-    values = np.empty(R, dtype=np.float64)
-    masses = np.empty(R, dtype=np.float64)
-    rows = rngmod.batch_rows(config.n, config.dimension)
-
-    def batch_task(b: int, sampler: NeighborhoodSampler):
-        rep_lo = b * rows
-        rep_hi = min(rep_lo + rows, R)
-        t = rep_lo
-        while t < rep_hi:
-            j = t // R_inner
-            t_hi = min((j + 1) * R_inner, rep_hi)
-            labels, edges = sampler.edge_rows(xs[j], b, t - rep_lo, t_hi - rep_lo)
-            vals, mass = predict_rows(labels, edges)
-            values[t:t_hi] = vals
-            masses[t:t_hi] = mass
-            t = t_hi
-
-    n_batches = (R + rows - 1) // rows
-    if threads <= 1 or n_batches == 1:
-        sampler = _worker_sampler(config)
-        for b in range(n_batches):
-            batch_task(b, sampler)
-    else:
-        def work(b):
-            batch_task(b, _worker_sampler(config))
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(n_batches)))
+    batch = _map_replications(config, xs, R_inner, threads)
+    values = batch.values
+    R = len(batch)
 
     errs = (values.reshape(R_outer, R_inner) - fxs[:, None]) ** 2
     inner_means = errs.mean(axis=1)
     mise = float(inner_means.mean())
     se = float(np.std(inner_means, ddof=1)) / math.sqrt(R_outer)
-    empty = float(np.count_nonzero(masses == 0.0)) / R
+    empty = float(np.count_nonzero(batch.empty_mask)) / R
     mean = float(values.mean())
     return MCReport(
         replications=R,

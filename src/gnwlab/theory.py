@@ -45,6 +45,8 @@ __all__ = [
     "RiskBoundReport",
     "BandwidthRange",
     "RetentionEstimate",
+    "WindowMoments",
+    "window_moments",
     "local_connection",
     "local_degree",
     "operator_value",
@@ -175,29 +177,59 @@ def operator_value(density: Density, kernel: KernelSpec, regression: Regression,
     return res.value, res.error
 
 
-def smoothed_value(density: Density, kernel: KernelSpec, regression: Regression, x,
-                   rel_tol: float = 1e-8):
-    """b_n(f, x) = T(f, x)/c_n(x) (0 when c_n = 0) and its error estimate."""
+@dataclass(frozen=True)
+class WindowMoments:
+    """c_n(x) and T(f, x) at one query point, with their error estimates.
+
+    T is integrated only when c_n > 0; otherwise k(x, .) p vanishes, so T
+    and its error are 0.
+    """
+
+    c_n: float
+    c_err: float
+    t_f: float
+    t_err: float
+
+    @property
+    def b_n(self) -> float:
+        """b_n(f, x) = T(f, x)/c_n(x), 0 when c_n = 0."""
+        return self.t_f / self.c_n if self.c_n > 0.0 else 0.0
+
+    @property
+    def b_err(self) -> float:
+        """Error estimate of b_n propagated from those of T and c_n."""
+        if self.c_n <= 0.0:
+            return 0.0
+        return (self.t_err + abs(self.b_n) * self.c_err) / self.c_n
+
+    def expectation(self, n: int) -> float:
+        """Exact estimator expectation  b_n (1 - (1 - c_n)^n)."""
+        return self.b_n * (1.0 - (1.0 - self.c_n) ** n)
+
+
+def window_moments(density: Density, kernel: KernelSpec, regression: Regression, x,
+                   rel_tol: float = 1e-8) -> WindowMoments:
+    """One pass over the window at x: c_n(x), then T(f, x) if c_n > 0."""
     x = as_point(x, dim=density.dim)
     c, c_err = local_connection(density, kernel, x, rel_tol=rel_tol)
     if c <= 0.0:
-        return 0.0, 0.0
+        return WindowMoments(c, c_err, 0.0, 0.0)
     t, t_err = operator_value(density, kernel, regression, x, rel_tol=rel_tol)
-    b = t / c
-    err = (t_err + abs(b) * c_err) / c
-    return b, err
+    return WindowMoments(c, c_err, t, t_err)
+
+
+def smoothed_value(density: Density, kernel: KernelSpec, regression: Regression, x,
+                   rel_tol: float = 1e-8):
+    """b_n(f, x) = T(f, x)/c_n(x) (0 when c_n = 0) and its error estimate."""
+    m = window_moments(density, kernel, regression, x, rel_tol=rel_tol)
+    return m.b_n, m.b_err
 
 
 def expectation_gnw(density: Density, kernel: KernelSpec, regression: Regression, x, n: int) -> float:
     """Exact estimator expectation  b_n(f, x) (1 - (1 - c_n(x))^n)."""
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    x = as_point(x, dim=density.dim)
-    c, _ = local_connection(density, kernel, x)
-    if c <= 0.0:
-        return 0.0
-    b, _ = smoothed_value(density, kernel, regression, x)
-    return b * (1.0 - (1.0 - c) ** n)
+    return window_moments(density, kernel, regression, x).expectation(n)
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +572,8 @@ def theory_report(density: Density, kernel: KernelSpec, regression: Regression,
                   noise_variance: float, n: int, x) -> TheoryReport:
     """Bundle of every pointwise analytic quantity for one query point."""
     x = as_point(x, dim=density.dim)
-    c, c_err = local_connection(density, kernel, x)
-    t, t_err = operator_value(density, kernel, regression, x)
-    b = t / c if c > 0 else 0.0
-    b_err = (t_err + abs(b) * c_err) / c if c > 0 else 0.0
-    d_n = n * c
+    m = window_moments(density, kernel, regression, x)
+    d_n = n * m.c_n
     fx = regression.eval_one(x)
     B = regression.bound
     bias_bound = None
@@ -555,15 +584,15 @@ def theory_report(density: Density, kernel: KernelSpec, regression: Regression,
         bias_bound = 0.0
     return TheoryReport(
         x=tuple(float(v) for v in x),
-        c_n=c,
+        c_n=m.c_n,
         d_n=d_n,
-        t_f=t,
-        b_n=b,
-        bias_proxy=b - fx,
-        expectation_gnw=b * (1.0 - (1.0 - c) ** n) if c > 0 else 0.0,
+        t_f=m.t_f,
+        b_n=m.b_n,
+        bias_proxy=m.b_n - fx,
+        expectation_gnw=m.expectation(n),
         variance_upper=variance_upper_bound(B, noise_variance, d_n) if d_n > 0 else math.inf,
         variance_lower=variance_lower_bound(noise_variance, d_n) if d_n > 0 else 0.0,
         bias_bound=bias_bound,
-        empty_prob=(1.0 - c) ** n,
-        quadrature_error=c_err + b_err,
+        empty_prob=(1.0 - m.c_n) ** n,
+        quadrature_error=m.c_err + m.b_err,
     )

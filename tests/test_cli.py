@@ -1,11 +1,18 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gnwlab.cli import SWEEP_HEADER, VERIFY_HEADER, main
+import gnwlab
+from gnwlab import theory
+from gnwlab.cli import SWEEP_HEADER, VERIFY_HEADER, cmd_verify, main
+from gnwlab.model import KernelSpec, LinearFunction, NoNoise, TriangleKernel, UniformBall
+from gnwlab.scenario import QuerySpec, ScenarioConfig, ScenarioConstants
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -90,6 +97,56 @@ def test_invalid_config_value_is_usage_error(tmp_path, capsys):
     code = _run("verify", "--config", str(bad), "--suite", "expectation")
     assert code == 2
     assert "(0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_usage_error(threads, capsys):
+    code = _run("verify", "--config", _cfg("expectation.json"), "--suite", "expectation",
+                "--threads", threads)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--threads" in err
+    assert err.count("\n") == 1
+
+
+def test_module_entry_point(tmp_path):
+    src = str(Path(gnwlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "gnwlab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run("selftest")
+    assert done.returncode == 0, done.stderr
+    assert sum(line.startswith("decoupling@n=") for line in done.stdout.splitlines()) == 12
+    missing = run("verify", "--config", str(tmp_path / "nope.json"), "--suite", "expectation")
+    assert missing.returncode == 2
+    assert missing.stderr.startswith("error:")
+
+
+def test_expectation_suite_integrates_twice_per_point(monkeypatch):
+    # c_n and T once each per query point, 2-D ball, triangle kernel
+    points = ((0.1, 0.2), (-0.5, 0.3))
+    cfg = ScenarioConfig(
+        dimension=2, n=50, density=UniformBall(center=(0.0, 0.0), radius=1.0),
+        kernel=KernelSpec(TriangleKernel(), alpha=1.0, h=0.3),
+        regression=LinearFunction(slope=(1.0, 0.5), intercept=0.0, bound=1.5),
+        noise=NoNoise(), constants=ScenarioConstants(), query=QuerySpec(points=points),
+        replications=200, master_seed=7,
+    )
+    calls = []
+    original = theory.integrate_box
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(theory, "integrate_box", counting)
+    rows, code = cmd_verify(cfg, "expectation")
+    assert len(rows) == len(points) and code == 0
+    assert len(calls) == 2 * len(points)
 
 
 def test_seed_override_changes_output(tmp_path):

@@ -75,18 +75,15 @@ def test_shift_and_scale_equivariance(rng):
 
 
 def test_bounded_predictions_under_bounded_noise():
-    from gnwlab.graph import NeighborhoodSampler
+    from gnwlab.montecarlo import run_replications
 
     cfg = unit_interval_scenario(
         n=100, h=0.2,
         regression=SinusoidFunction(amplitude=1.0, frequency=1.0),
         noise=BoundedUniformNoise(sigma_b=0.5),
     )
-    sampler = NeighborhoodSampler(cfg.density, cfg.kernel, cfg.regression, cfg.noise,
-                                  cfg.n, cfg.master_seed)
     ceiling = cfg.regression.bound + cfg.noise.bound
-    for rep in range(200):
-        p = gnw_predict(sampler.neighborhood([0.4], rep))
+    for p in run_replications(cfg, [0.4], 200):
         if not p.empty:
             assert abs(p.value) <= ceiling * (1.0 + 1e-12)
 

@@ -5,6 +5,8 @@ import pytest
 
 from conftest import IDENTITY, unit_interval_scenario
 from gnwlab.errors import InvalidInputError, ResourceBudgetError
+from gnwlab.estimators import gnw_predict
+from gnwlab.graph import sample_neighborhood
 from gnwlab.model import (
     BoundedUniformNoise,
     ConstantFunction,
@@ -14,6 +16,7 @@ from gnwlab.model import (
 )
 from gnwlab.montecarlo import (
     PredictionBatch,
+    _map_replications,
     edge_resample_mean,
     estimate_integrated_risk,
     estimate_moments,
@@ -41,6 +44,33 @@ def test_thread_count_invariance():
     two = run_replications(cfg, [0.5], 150_000, threads=2)
     assert np.array_equal(one.values, two.values)
     assert np.array_equal(one.masses, two.masses)
+
+
+def test_driver_matches_single_draws_across_batch_boundaries():
+    # n = 20000 at d = 1 gives 13-row batches, so 5-replication query slices
+    # start and end inside batches and straddle their boundaries
+    cfg = unit_interval_scenario(n=20000, h=0.05, regression=IDENTITY,
+                                 noise=BoundedUniformNoise(sigma_b=0.5))
+    xs = np.array([[0.1], [0.35], [0.5], [0.72], [0.9], [0.99]])
+    batch = _map_replications(cfg, xs, 5, threads=2)
+    assert len(batch) == 30
+    for r in range(30):
+        nb = sample_neighborhood(cfg.density, cfg.kernel, cfg.regression, cfg.noise,
+                                 cfg.n, xs[r // 5], r, cfg.master_seed)
+        assert nb.seed_record.batch_index == r // 13
+        p = gnw_predict(nb)
+        assert batch.values[r] == p.value and batch.masses[r] == p.mass
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_rejected(threads):
+    cfg = unit_interval_scenario(n=10, integrated=(10, 10))
+    with pytest.raises(InvalidInputError, match="threads"):
+        run_replications(cfg, [0.5], 100, threads=threads)
+    with pytest.raises(InvalidInputError, match="threads"):
+        estimate_pointwise_risk(cfg, [0.5], 100, threads=threads)
+    with pytest.raises(InvalidInputError, match="threads"):
+        estimate_integrated_risk(cfg, 10, 10, threads=threads)
 
 
 def test_constant_function_predictions_binary():
