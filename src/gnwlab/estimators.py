@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .graph import QueryNeighborhood
 from .model import KernelSpec, as_point
 
@@ -66,9 +67,14 @@ def nw_predict(x, points: np.ndarray, labels: np.ndarray, kernel: KernelSpec) ->
     coin flips.
     """
     x = as_point(x)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != x.shape[0]:
-        points = points.reshape(-1, x.shape[0])
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1 and x.shape[0] == 1:
+        points = points[:, None]
+    if points.ndim != 2 or points.shape[1] != x.shape[0]:
+        raise InvalidInputError(
+            f"points must have shape (m, {x.shape[0]}) for a {x.shape[0]}-d query, "
+            f"got {points.shape}"
+        )
     dist = np.sqrt(np.sum((points - x) ** 2, axis=-1))
     weights = kernel.base.profile(dist / kernel.h)
     values, mass = predict_rows(np.asarray(labels, dtype=float)[None, :], weights[None, :])

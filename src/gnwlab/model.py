@@ -32,24 +32,18 @@ __all__ = [
     "TriangleKernel",
     "HalfPlateauKernel",
     "KernelSpec",
-    "kernel_base_eval",
-    "kernel_scaled_eval",
     "UniformCube",
     "UniformBall",
     "GaussianDensity",
     "MixtureDensity",
-    "density_sample",
-    "density_eval",
     "ConstantFunction",
     "LinearFunction",
     "SinusoidFunction",
     "CuspFunction",
-    "regression_eval",
     "NoNoise",
     "BoundedUniformNoise",
     "RademacherNoise",
     "GaussianNoise",
-    "noise_sample",
     "AssumptionViolation",
     "AuditReport",
     "assumption_audit",
@@ -215,14 +209,6 @@ class KernelSpec:
     def kink_radii(self) -> tuple[float, ...]:
         """Absolute radii where z -> k(x, z) is non-smooth."""
         return tuple(r * self.h for r in self.base.kink_radii)
-
-
-def kernel_base_eval(spec: KernelSpec, z) -> float:
-    return spec.base_eval(z)
-
-
-def kernel_scaled_eval(spec: KernelSpec, x, z) -> float:
-    return spec.scaled_eval(x, z)
 
 
 # ---------------------------------------------------------------------------
@@ -472,17 +458,6 @@ class MixtureDensity(Density):
         return out
 
 
-def density_sample(spec: Density, rng: np.random.Generator) -> np.ndarray:
-    """One point drawn from the density."""
-    return spec.sample(rng, ())
-
-
-def density_eval(spec: Density, x) -> float:
-    """p(x) at a single point."""
-    x = as_point(x, dim=spec.dim)
-    return float(spec.pdf(x[None, :])[0])
-
-
 def unit_ball_volume(d: int) -> float:
     """Lebesgue volume of the unit Euclidean ball in d dimensions."""
     if d < 1:
@@ -604,10 +579,6 @@ class CuspFunction(Regression):
         return spheres
 
 
-def regression_eval(spec: Regression, x) -> float:
-    return spec.eval_one(x)
-
-
 # ---------------------------------------------------------------------------
 # Noise models
 # ---------------------------------------------------------------------------
@@ -690,10 +661,6 @@ class GaussianNoise(Noise):
 
     def sample(self, rng, shape=()):
         return self.stddev * rng.standard_normal(tuple(shape))
-
-
-def noise_sample(spec: Noise, rng: np.random.Generator) -> float:
-    return float(spec.sample(rng, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,8 @@ class ScenarioConfig:
 
 
 def _require_keys(d: dict, valid: set[str], required: set[str], where: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object")
     unknown = set(d) - valid
     if unknown:
         raise ConfigError(
@@ -139,6 +141,22 @@ def _require_keys(d: dict, valid: set[str], required: set[str], where: str):
     missing = required - set(d)
     if missing:
         raise ConfigError(f"{where}: missing required key(s) {sorted(missing)}")
+
+
+def _convert(kind, value, where: str):
+    """kind(value), with a value that does not convert reported as a ConfigError."""
+    try:
+        return kind(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _point_list(raw) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(v) for v in p) for p in raw)
+
+
+def _float_list(raw) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw)
 
 
 def _density_from_dict(d: dict, where: str = "density") -> Density:
@@ -194,7 +212,7 @@ def _kernel_from_dict(d: dict) -> KernelSpec:
             m1=float(d["m1"]) if "m1" in d else None,
             m2=float(d["m2"]) if "m2" in d else None,
         )
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"kernel: {exc}") from exc
 
 
@@ -310,7 +328,7 @@ def _noise_from_dict(d: dict) -> Noise:
         if kind == "gaussian":
             _require_keys(d, {"kind", "stddev"}, {"stddev"}, "noise")
             return GaussianNoise(stddev=float(d["stddev"]))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"noise: {exc}") from exc
     raise ConfigError(f"noise: unknown kind {kind!r}; valid: none, bounded_uniform, rademacher, gaussian")
 
@@ -348,41 +366,42 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
 
     const_raw = raw.get("constants", {}) or {}
     _require_keys(const_raw, {"r0", "c0", "p0", "beta"}, set(), "constants")
-    constants = ScenarioConstants(
-        r0=None if const_raw.get("r0") is None else float(const_raw["r0"]),
-        c0=None if const_raw.get("c0") is None else float(const_raw["c0"]),
-        p0=None if const_raw.get("p0") is None else float(const_raw["p0"]),
-        beta=None if const_raw.get("beta") is None else float(const_raw["beta"]),
-    )
+    constants = ScenarioConstants(**{
+        key: _convert(float, const_raw[key], f"constants.{key}")
+        for key in ("r0", "c0", "p0", "beta")
+        if const_raw.get(key) is not None
+    })
 
     q_raw = raw["query"]
     if not isinstance(q_raw, dict):
         raise ConfigError("query must be an object")
     _require_keys(q_raw, {"points", "integrated"}, set(), "query")
     if "points" in q_raw:
-        pts = tuple(tuple(float(v) for v in p) for p in q_raw["points"])
-        query = QuerySpec(points=pts)
+        query = QuerySpec(points=_convert(_point_list, q_raw["points"], "query.points"))
     elif "integrated" in q_raw:
         ig = q_raw["integrated"]
         _require_keys(ig, {"outer", "inner"}, {"outer", "inner"}, "query.integrated")
-        query = QuerySpec(outer=int(ig["outer"]), inner=int(ig["inner"]))
+        query = QuerySpec(
+            outer=_convert(int, ig["outer"], "query.integrated.outer"),
+            inner=_convert(int, ig["inner"], "query.integrated.inner"),
+        )
     else:
         raise ConfigError("query must contain 'points' or 'integrated'")
 
     kwargs = dict(
-        dimension=int(raw["dimension"]),
-        n=int(raw["n"]),
+        dimension=_convert(int, raw["dimension"], "dimension"),
+        n=_convert(int, raw["n"], "n"),
         density=_density_from_dict(raw["density"]),
         kernel=_kernel_from_dict(raw["kernel"]),
         regression=_regression_from_dict(raw["regression"]),
         noise=_noise_from_dict(raw["noise"]),
         constants=constants,
         query=query,
-        replications=int(raw["replications"]),
-        master_seed=int(raw["master_seed"]),
+        replications=_convert(int, raw["replications"], "replications"),
+        master_seed=_convert(int, raw["master_seed"], "master_seed"),
     )
     if "deltas" in raw:
-        kwargs["deltas"] = tuple(float(v) for v in raw["deltas"])
+        kwargs["deltas"] = _convert(_float_list, raw["deltas"], "deltas")
     return ScenarioConfig(**kwargs)
 
 

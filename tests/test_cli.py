@@ -99,6 +99,26 @@ def test_invalid_config_value_is_usage_error(tmp_path, capsys):
     assert "(0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("query", "points"), [["a"]]),
+    (("n",), "ten"),
+    (("constants", "p0"), "x"),
+])
+def test_malformed_config_value_is_usage_error(path, value, tmp_path, capsys):
+    payload = json.loads(open(_cfg("expectation.json")).read())
+    node = payload
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code = _run("verify", "--config", str(bad), "--suite", "expectation")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_threads_below_one_is_usage_error(threads, capsys):
     code = _run("verify", "--config", _cfg("expectation.json"), "--suite", "expectation",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import IDENTITY, unit_interval_scenario
+from gnwlab.errors import InvalidInputError
 from gnwlab.estimators import gnw_predict, nw_predict, predict_rows
 from gnwlab.graph import QueryNeighborhood, SeedRecord
 from gnwlab.model import (
@@ -44,6 +45,24 @@ def test_nw_examples():
     assert p.value == 7.0 and p.mass == 1.0
     p0 = nw_predict([0.5], np.array([[0.9]]), np.array([7.0]), kernel)
     assert p0.value == 0.0 and p0.empty
+
+
+def test_nw_flat_points_in_one_dimension():
+    kernel = KernelSpec(IndicatorKernel(), alpha=1.0, h=0.1)
+    flat = nw_predict([0.5], np.array([0.52, 0.9, 0.45]), np.array([7.0, 1.0, 3.0]), kernel)
+    column = nw_predict([0.5], np.array([[0.52], [0.9], [0.45]]), np.array([7.0, 1.0, 3.0]), kernel)
+    assert flat == column and flat.value == 5.0
+
+
+@pytest.mark.parametrize("x, points", [
+    ([0.5, 0.5], np.zeros((2, 3))),  # 3-d points, 2-d query
+    ([0.5, 0.5], np.zeros((4, 1))),  # 1-d points, 2-d query: no reshape to (2, 2)
+    ([0.5, 0.5], np.zeros(4)),  # flat points need a 1-d query
+])
+def test_nw_mismatched_points_rejected(x, points):
+    kernel = KernelSpec(IndicatorKernel(), alpha=1.0, h=0.1)
+    with pytest.raises(InvalidInputError):
+        nw_predict(x, points, np.zeros(len(points)), kernel)
 
 
 def test_prediction_within_neighbor_label_range(rng):

@@ -22,12 +22,6 @@ from gnwlab.model import (
     UniformBall,
     UniformCube,
     assumption_audit,
-    density_eval,
-    density_sample,
-    kernel_base_eval,
-    kernel_scaled_eval,
-    noise_sample,
-    regression_eval,
     unit_ball_volume,
 )
 from gnwlab.quadrature import integrate_box
@@ -42,27 +36,27 @@ ALL_KERNELS = [IndicatorKernel(), TriangleKernel(), HalfPlateauKernel()]
 
 def test_indicator_base_values():
     spec = KernelSpec(IndicatorKernel(), alpha=1.0, h=1.0)
-    assert kernel_base_eval(spec, [0.5]) == 1.0
-    assert kernel_base_eval(spec, [1.5]) == 0.0
+    assert spec.base_eval([0.5]) == 1.0
+    assert spec.base_eval([1.5]) == 0.0
 
 
 def test_half_plateau_midband():
     spec = KernelSpec(HalfPlateauKernel(), alpha=1.0, h=1.0)
-    assert kernel_base_eval(spec, [0.75]) == 0.5
+    assert spec.base_eval([0.75]) == 0.5
 
 
 def test_scaled_eval_examples():
     spec = KernelSpec(IndicatorKernel(), alpha=1.0, h=0.1)
-    assert kernel_scaled_eval(spec, [0.5], [0.55]) == 1.0
-    assert kernel_scaled_eval(spec, [0.5], [0.7]) == 0.0
+    assert spec.scaled_eval([0.5], [0.55]) == 1.0
+    assert spec.scaled_eval([0.5], [0.7]) == 0.0
     half = KernelSpec(IndicatorKernel(), alpha=0.5, h=0.1)
-    assert kernel_scaled_eval(half, [0.5], [0.55]) == 0.5
+    assert half.scaled_eval([0.5], [0.55]) == 0.5
 
 
 def test_scaled_eval_dimension_mismatch():
     spec = KernelSpec(IndicatorKernel(), alpha=1.0, h=0.1)
     with pytest.raises(InvalidInputError):
-        kernel_scaled_eval(spec, [0.5], [0.5, 0.5])
+        spec.scaled_eval([0.5], [0.5, 0.5])
 
 
 @pytest.mark.parametrize("base", ALL_KERNELS, ids=lambda k: k.name)
@@ -82,7 +76,7 @@ def test_kernel_symmetry_exact(base, rng):
     for _ in range(200):
         x = rng.random(2)
         z = rng.random(2)
-        assert kernel_scaled_eval(spec, x, z) == kernel_scaled_eval(spec, z, x)
+        assert spec.scaled_eval(x, z) == spec.scaled_eval(z, x)
 
 
 def test_kernel_spec_validation():
@@ -125,15 +119,15 @@ def test_density_integrates_to_one(dens):
 
 def test_density_eval_examples():
     cube = UniformCube(lo=(0.0,), hi=(1.0,))
-    assert density_eval(cube, [0.5]) == 1.0
-    assert density_eval(cube, [1.5]) == 0.0
+    assert cube.pdf([[0.5]])[0] == 1.0
+    assert cube.pdf([[1.5]])[0] == 0.0
     ball = UniformBall(center=(0.0, 0.0), radius=1.0)
-    assert density_eval(ball, [0.0, 0.0]) == pytest.approx(1.0 / math.pi, rel=1e-12)
+    assert ball.pdf([[0.0, 0.0]])[0] == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
 def test_density_sample_support(rng):
     cube = UniformCube(lo=(0.0,), hi=(1.0,))
-    pt = density_sample(cube, rng)
+    pt = cube.sample(rng)
     assert 0.0 <= pt[0] <= 1.0
 
 
@@ -166,7 +160,7 @@ def test_mixture_weights_validated():
 
 def test_density_eval_dimension_mismatch():
     with pytest.raises(InvalidInputError):
-        density_eval(UniformCube(lo=(0.0,), hi=(1.0,)), [0.5, 0.5])
+        UniformCube(lo=(0.0,), hi=(1.0,)).pdf([[0.5, 0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +169,11 @@ def test_density_eval_dimension_mismatch():
 
 
 def test_regression_examples():
-    assert regression_eval(ConstantFunction(1.0), [0.3]) == 1.0
+    assert ConstantFunction(1.0).eval_one([0.3]) == 1.0
     ident = LinearFunction(slope=(1.0,), intercept=0.0, bound=1.0)
-    assert regression_eval(ident, [0.25]) == 0.25
+    assert ident.eval_one([0.25]) == 0.25
     cusp = CuspFunction(scale=1.0, exponent=0.5, anchor=(0.0,), bound=1.0)
-    assert regression_eval(cusp, [0.04]) == pytest.approx(0.2, abs=1e-15)
+    assert cusp.eval_one([0.04]) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_regression_bounded_on_support(rng):
@@ -198,7 +192,7 @@ def test_regression_bounded_on_support(rng):
 
 def test_cusp_clamps_at_bound():
     cusp = CuspFunction(scale=2.0, exponent=1.0, anchor=(0.0,), bound=0.5)
-    assert regression_eval(cusp, [10.0]) == 0.5
+    assert cusp.eval_one([10.0]) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +201,8 @@ def test_cusp_clamps_at_bound():
 
 
 def test_noise_examples(rng):
-    assert noise_sample(NoNoise(), rng) == 0.0
-    val = noise_sample(RademacherNoise(sigma_b=1.0), rng)
+    assert NoNoise().sample(rng) == 0.0
+    val = RademacherNoise(sigma_b=1.0).sample(rng)
     assert val in (-1.0, 1.0)
     assert BoundedUniformNoise(sigma_b=3.0).variance == pytest.approx(3.0)
     assert RademacherNoise(sigma_b=0.5).variance == 0.25
