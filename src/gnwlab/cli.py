@@ -261,6 +261,8 @@ def _with_parameter(config: ScenarioConfig, parameter: str, value: float) -> Sce
     if parameter == "alpha":
         return replace(config, kernel=replace(config.kernel, alpha=float(value)))
     if parameter == "n":
+        if not float(value).is_integer():
+            raise ConfigError(f"sweep values for n must be integers, got {value!r}")
         return replace(config, n=int(value))
     raise ConfigError(f"unknown sweep parameter {parameter!r}; valid: h, alpha, n")
 

@@ -69,7 +69,7 @@ def tradeoff_svg(config, grid_points: int = 257) -> str:
         config.density, config.kernel, config.regression, config.noise,
         config.n, config.master_seed,
     )
-    pts, unif, labels = sampler.batch(0)
+    pts, unif, labels = sampler.batch(0, stop=1)
     pts1 = pts[0, :, 0]
     u = unif[0]
     y = labels[0]

@@ -10,6 +10,11 @@ row ``r % B`` of batch ``r // B``, and each batch owns three derived random
 streams (latents / edge uniforms / noise).  The batch layout depends only on
 (n, d), so a replication's data is bit-identical whether it is drawn alone,
 inside a vectorised sweep, or under any worker-thread count.
+
+Every stream fills its batch row by row, so rows [0, k) of a batch can be
+drawn without the rest: a single draw at replication ``r`` costs O((r % B + 1)
+n).  Only the latents of a density that is not ``Density.prefix_stable``
+(uniform ball, mixture) are still drawn for the whole batch and cut.
 """
 
 from dataclasses import dataclass
@@ -79,10 +84,23 @@ class NeighborhoodSampler:
         self.master_seed = int(master_seed)
         self.rows = rngmod.batch_rows(self.n, density.dim)
 
-    def batch(self, batch_index: int):
-        """(points, uniforms, labels) arrays of shape (rows, n[, d])."""
-        shape = (self.rows, self.n)
-        pts = self.density.sample(rngmod.stream(self.master_seed, rngmod.LATENT, batch_index), shape)
+    def batch(self, batch_index: int, stop: int | None = None):
+        """(points, uniforms, labels) of rows [0, stop) of a batch, shapes (stop, n[, d]).
+
+        ``stop`` defaults to the whole batch.  Each stream is filled row by
+        row, so these rows are bit-identical to the first ``stop`` rows of
+        the whole batch; only the latents of a density that is not
+        ``prefix_stable`` are drawn for the whole batch and cut.
+        """
+        stop = self.rows if stop is None else stop
+        if not 0 <= stop <= self.rows:
+            raise InvalidInputError(f"stop must lie in [0, {self.rows}], got {stop}")
+        shape = (stop, self.n)
+        latent = rngmod.stream(self.master_seed, rngmod.LATENT, batch_index)
+        if self.density.prefix_stable:
+            pts = self.density.sample(latent, shape)
+        else:
+            pts = self.density.sample(latent, (self.rows, self.n))[:stop]
         unif = rngmod.stream(self.master_seed, rngmod.EDGE, batch_index).random(shape)
         eps = self.noise.sample(rngmod.stream(self.master_seed, rngmod.NOISE, batch_index), shape)
         labels = self.regression.evaluate(pts) + eps
@@ -102,7 +120,7 @@ class NeighborhoodSampler:
             raise InvalidInputError("replication_index must be >= 0")
         x = as_point(x, dim=self.density.dim)
         b, r = divmod(int(replication_index), self.rows)
-        pts, unif, labels = self.batch(b)
+        pts, unif, labels = self.batch(b, stop=r + 1)
         return QueryNeighborhood(
             x=x,
             points=pts[r].reshape(self.n, self.density.dim).copy(),

@@ -219,6 +219,10 @@ class KernelSpec:
 class Density:
     """A latent-point density p on R^d with analytic support description."""
 
+    # True when ``sample`` fills its output with one generator call, so the
+    # first k rows of a (rows, ...) draw equal a (k, ...) draw bit for bit.
+    prefix_stable = False
+
     @property
     def dim(self) -> int:
         raise NotImplementedError
@@ -255,6 +259,8 @@ class Density:
 @dataclass(frozen=True)
 class UniformCube(Density):
     """Uniform density on an axis-aligned box [lo, hi]."""
+
+    prefix_stable = True
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
@@ -350,6 +356,8 @@ class UniformBall(Density):
 @dataclass(frozen=True)
 class GaussianDensity(Density):
     """Isotropic Gaussian with the given mean and per-coordinate stddev."""
+
+    prefix_stable = True
 
     mean: tuple[float, ...]
     stddev: float

@@ -118,9 +118,9 @@ def _map_replications(config, xs: np.ndarray, per_query: int,
     masses = np.empty(R, dtype=np.float64)
 
     def fill(b: int):
-        pts, unif, labels = sampler.batch(b)
         lo = b * rows
         hi = min(lo + rows, R)
+        pts, unif, labels = sampler.batch(b, stop=hi - lo)
         t = lo
         while t < hi:
             q = t // per_query

@@ -125,15 +125,17 @@ def _lane_group(g, lanes, lo, hi, cuts, rel_tol, abs_tol, max_panels):
     while True:
         total, total_abs, total_err = sums.T
         target = np.maximum(np.maximum(abs_tol, rel_tol * np.abs(total)), 1e-15 * total_abs)
-        stop = (count >= max_panels) | (total_err <= target)
+        met = total_err <= target
+        finite = np.isfinite(total) & np.isfinite(total_err)
+        stop = (count >= max_panels) | met | ~finite
         if stop.any():
-            failed = np.flatnonzero(stop & (total_err > target))
+            # Written as ~(met & finite): a NaN error compares False.
+            failed = np.flatnonzero(stop & ~(met & finite))
             if failed.size:
                 k = failed[0]
-                raise QuadratureError(
-                    f"interval [{lo}, {hi}]: error {total_err[k]:.3e} above target "
-                    f"after {count[k]} panels"
-                )
+                why = (f"error {total_err[k]:.3e} above target" if finite[k]
+                       else f"non-finite value {total[k]} (error {total_err[k]})")
+                raise QuadratureError(f"interval [{lo}, {hi}]: {why} after {count[k]} panels")
             done = panels[stop]
             live = done[:, :, 3] != -np.inf
             value[idx[stop]] = _fsum_rows(done[:, :, 2], live)
@@ -191,7 +193,8 @@ def _adaptive_lanes(g, lo, hi, cuts, *, rel_tol, abs_tol, max_panels):
     ``cuts[i]`` holds lane i's breakpoints (NaN for none); ``g(lane, t)``
     evaluates lane ``lane[k]``'s integrand at ``t[k]``.  Returns the values
     and error estimates per lane and the total evaluation count.  Raises
-    QuadratureError when a lane exhausts ``max_panels`` above its target.
+    QuadratureError when a lane exhausts ``max_panels`` above its target, or
+    as soon as a lane's total or error estimate is not finite.
     """
     m = len(cuts)
     value = np.empty(m)

@@ -19,9 +19,11 @@ QUERY = 4
 
 # Rows drawn per batch.  Each replication owns one row of a batch, so the
 # batch layout (hence every sampled value) depends only on (n, d), never on
-# the requested replication count or the worker-thread count.  The budget
-# balances vectorized throughput against the cost of materializing a batch
-# to serve a single standalone draw.
+# the requested replication count or the worker-thread count.  A draw that
+# needs only the first k rows of a batch draws only those rows (see
+# NeighborhoodSampler.batch), so the budget sets vectorized throughput, not
+# the cost of a standalone draw -- except for densities whose latents are
+# not prefix-stable, which still fill the whole batch.
 _BATCH_ELEMENT_BUDGET = 1 << 18
 _BATCH_ROW_CAP = 1 << 16
 

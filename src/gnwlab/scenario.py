@@ -151,6 +151,13 @@ def _convert(kind, value, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """int(value) for a value without a fractional part: accepts 10 and 10.0, not 10.9."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _point_list(raw) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(v) for v in p) for p in raw)
 
@@ -382,23 +389,23 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         ig = q_raw["integrated"]
         _require_keys(ig, {"outer", "inner"}, {"outer", "inner"}, "query.integrated")
         query = QuerySpec(
-            outer=_convert(int, ig["outer"], "query.integrated.outer"),
-            inner=_convert(int, ig["inner"], "query.integrated.inner"),
+            outer=_convert(_integer, ig["outer"], "query.integrated.outer"),
+            inner=_convert(_integer, ig["inner"], "query.integrated.inner"),
         )
     else:
         raise ConfigError("query must contain 'points' or 'integrated'")
 
     kwargs = dict(
-        dimension=_convert(int, raw["dimension"], "dimension"),
-        n=_convert(int, raw["n"], "n"),
+        dimension=_convert(_integer, raw["dimension"], "dimension"),
+        n=_convert(_integer, raw["n"], "n"),
         density=_density_from_dict(raw["density"]),
         kernel=_kernel_from_dict(raw["kernel"]),
         regression=_regression_from_dict(raw["regression"]),
         noise=_noise_from_dict(raw["noise"]),
         constants=constants,
         query=query,
-        replications=_convert(int, raw["replications"], "replications"),
-        master_seed=_convert(int, raw["master_seed"], "master_seed"),
+        replications=_convert(_integer, raw["replications"], "replications"),
+        master_seed=_convert(_integer, raw["master_seed"], "master_seed"),
     )
     if "deltas" in raw:
         kwargs["deltas"] = _convert(_float_list, raw["deltas"], "deltas")

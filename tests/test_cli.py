@@ -119,6 +119,40 @@ def test_malformed_config_value_is_usage_error(path, value, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("config, path, value", [
+    ("expectation.json", ("n",), 10.9),
+    ("expectation.json", ("replications",), 200.7),
+    ("sweep.json", ("query", "integrated", "inner"), 16.5),
+])
+def test_fractional_integer_is_usage_error(config, path, value, tmp_path, capsys):
+    payload = json.loads(open(_cfg(config)).read())
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code = _run("verify", "--config", str(bad), "--suite", "expectation")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {'.'.join(path)}: {value!r} is not an integer\n"
+
+
+def test_integral_float_is_accepted(tmp_path):
+    payload = json.loads(open(_cfg("expectation.json")).read())
+    payload["n"] = float(payload["n"])
+    payload["replications"] = float(payload["replications"])
+    floats = tmp_path / "floats.json"
+    floats.write_text(json.dumps(payload))
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    assert _run("verify", "--config", _cfg("expectation.json"), "--suite", "expectation",
+                "--out", str(a)) == 0
+    assert _run("verify", "--config", str(floats), "--suite", "expectation",
+                "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_threads_below_one_is_usage_error(threads, capsys):
     code = _run("verify", "--config", _cfg("expectation.json"), "--suite", "expectation",
@@ -204,6 +238,9 @@ def test_sweep_rejects_empty_and_unsorted_values(capsys):
                 "--values", "") == 2
     assert _run("sweep", "--config", _cfg("sweep.json"), "--parameter", "h",
                 "--values", "0.2,0.1") == 2
+    # the n column would read 10.5 for a run at n = 10
+    assert _run("sweep", "--config", _cfg("sweep.json"), "--parameter", "n",
+                "--values", "10.5") == 2
 
 
 def test_figure_rgg(tmp_path):

@@ -7,6 +7,7 @@ from conftest import unit_interval_scenario
 from gnwlab import rng as rngmod
 from gnwlab.errors import InvalidInputError, ResourceBudgetError
 from gnwlab.graph import (
+    NeighborhoodSampler,
     decoupling_selftest,
     export_edges_csv,
     export_points_csv,
@@ -15,11 +16,21 @@ from gnwlab.graph import (
     sample_neighborhood,
 )
 from gnwlab.model import (
+    BoundedUniformNoise,
     ConstantFunction,
+    GaussianDensity,
+    GaussianNoise,
     IndicatorKernel,
     KernelSpec,
+    LinearFunction,
+    MixtureDensity,
+    NoNoise,
+    RademacherNoise,
+    TriangleKernel,
+    UniformBall,
     UniformCube,
 )
+from gnwlab.montecarlo import run_replications
 
 
 def _draw(cfg, x, rep):
@@ -51,8 +62,6 @@ def test_labels_are_regression_plus_noise():
 
 
 def test_labels_decompose_into_signal_plus_bounded_noise():
-    from gnwlab.model import BoundedUniformNoise
-
     cfg = unit_interval_scenario(n=80, regression=ConstantFunction(1.5),
                                  noise=BoundedUniformNoise(sigma_b=0.25))
     nb = _draw(cfg, [0.5], 2)
@@ -96,8 +105,6 @@ def test_edges_conditionally_independent():
 
 
 def test_noise_stream_does_not_perturb_latents():
-    from gnwlab.model import GaussianNoise
-
     quiet = unit_interval_scenario(n=30)
     noisy = unit_interval_scenario(n=30, noise=GaussianNoise(stddev=1.0))
     a = _draw(quiet, [0.5], 5)
@@ -105,6 +112,89 @@ def test_noise_stream_does_not_perturb_latents():
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.edges, b.edges)
     assert not np.array_equal(a.labels, b.labels)
+
+
+# ---------------------------------------------------------------------------
+# prefix draws: a replication draws only rows 0..r of its batch
+# ---------------------------------------------------------------------------
+
+
+DENSITIES_2D = {
+    "cube": UniformCube(lo=(0.0, 0.0), hi=(1.0, 1.0)),
+    "ball": UniformBall(center=(0.0, 0.0), radius=1.0),
+    "gaussian": GaussianDensity(mean=(0.0, 0.0), stddev=0.5),
+    "mixture": MixtureDensity(components=(
+        (0.3, UniformBall(center=(0.0, 0.0), radius=1.0)),
+        (0.7, GaussianDensity(mean=(0.5, 0.0), stddev=0.2)),
+    )),
+}
+NOISES = {
+    "none": NoNoise(),
+    "bounded": BoundedUniformNoise(sigma_b=0.3),
+    "rademacher": RademacherNoise(sigma_b=0.2),
+    "gaussian": GaussianNoise(stddev=0.5),
+}
+
+
+def _sampler(density, noise=NoNoise(), n=7):
+    return NeighborhoodSampler(density, KernelSpec(TriangleKernel(), alpha=1.0, h=0.5),
+                               LinearFunction(slope=(0.5, 1.5), intercept=0.1, bound=10.0),
+                               noise, n, master_seed=29)
+
+
+@pytest.mark.parametrize("noise", NOISES.values(), ids=NOISES.keys())
+@pytest.mark.parametrize("density", DENSITIES_2D.values(), ids=DENSITIES_2D.keys())
+def test_neighborhood_is_a_row_of_the_full_batch(density, noise):
+    sampler = _sampler(density, noise)
+    rows = sampler.rows
+    x = np.array([0.2, -0.1])
+    for r in (0, 1, rows - 1, rows, 3 * rows + 5):
+        b, k = divmod(r, rows)
+        pts, unif, labels = sampler.batch(b)
+        nb = sampler.neighborhood(x, r)
+        assert np.array_equal(nb.points, pts[k])
+        assert np.array_equal(nb.labels, labels[k])
+        assert np.array_equal(nb.edges, sampler.edges(x, pts[k], unif[k]).astype(np.uint8))
+        assert nb.seed_record.batch_index == b and nb.seed_record.row == k
+
+
+@pytest.mark.parametrize("density", DENSITIES_2D.values(), ids=DENSITIES_2D.keys())
+def test_prefix_stable_densities_draw_prefixes(density):
+    # Ball and mixture make a second generator call after the first has
+    # filled the whole shape, so their rows depend on the row count.
+    k, rows, n = 3, 50, 7
+    head = density.sample(rngmod.stream(5, rngmod.LATENT, 0), (k, n))
+    full = density.sample(rngmod.stream(5, rngmod.LATENT, 0), (rows, n))
+    assert np.array_equal(head, full[:k]) == density.prefix_stable
+    assert density.prefix_stable == isinstance(density, (UniformCube, GaussianDensity))
+
+
+def test_draws_request_only_the_rows_they_use(monkeypatch):
+    requested = []
+    for cls in (UniformCube, UniformBall):
+        def counting(self, gen, shape=(), _original=cls.sample):
+            requested.append(tuple(shape))
+            return _original(self, gen, shape)
+        monkeypatch.setattr(cls, "sample", counting)
+
+    cube = _sampler(DENSITIES_2D["cube"], n=40)
+    rows = cube.rows
+    cube.neighborhood([0.5, 0.5], rows + 4)
+    assert requested == [(5, 40)]
+    requested.clear()
+    _sampler(DENSITIES_2D["ball"], n=40).neighborhood([0.0, 0.0], 4)
+    assert requested == [(rows, 40)]
+
+    requested.clear()
+    cfg = unit_interval_scenario(n=40)
+    run_replications(cfg, [0.5], rngmod.batch_rows(40, 1) + 3)
+    assert requested == [(rngmod.batch_rows(40, 1), 40), (3, 40)]
+
+
+def test_batch_stop_beyond_the_batch_rejected():
+    sampler = _sampler(DENSITIES_2D["cube"])
+    with pytest.raises(InvalidInputError):
+        sampler.batch(0, stop=sampler.rows + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,24 @@ def test_budget_exhaustion_raises():
         adaptive_interval(f, 0.0, 1.0, rel_tol=1e-14, max_panels=8)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_integrand_raises_at_once(bad):
+    # A NaN error fails every comparison, so a lane would refine to its
+    # panel budget and return NaN unless it is stopped on sight.
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.where(x > 0.5, bad, 1.0)
+
+    with pytest.raises(QuadratureError, match="non-finite"):
+        adaptive_interval(f, 0.0, 1.0)
+    assert len(calls) == 1
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate_box(lambda p: np.where(p[:, 1] > 0.5, bad, 1.0), [0.0, 0.0], [1.0, 1.0])
+
+
 def test_box_2d_product():
     res = integrate_box(lambda p: p[:, 0] * p[:, 1], [0.0, 0.0], [1.0, 1.0])
     assert res.value == pytest.approx(0.25, rel=1e-10)
