@@ -69,7 +69,7 @@ from .theory import (
     degree_lower_bound,
     degree_ratio_check,
     expectation_gnw,
-    integrated_risk_bound,
+    holder_density_risk_bound,
     local_connection,
     local_degree,
     measure_retaining_estimate,
@@ -77,6 +77,7 @@ from .theory import (
     proxy_gap,
     smoothed_value,
     theory_report,
+    uniform_density_risk_bound,
     variance_lower_bound,
     variance_upper_bound,
     window_moments,

@@ -288,7 +288,7 @@ def cmd_sweep(config: ScenarioConfig, parameter: str, values, threads: int = 1):
         d_n_min = float("nan")
         variance_bound = float("nan")
         bias_bound = float("nan")
-        pw = float("nan")
+        pw = integrated = float("nan")
         if cst.r0 is not None and cst.c0 is not None and cst.p0 is not None \
                 and k.m1 * k.h < cst.r0:
             d_n_min = theory.degree_lower_bound(
@@ -300,13 +300,15 @@ def cmd_sweep(config: ScenarioConfig, parameter: str, values, threads: int = 1):
             if holder is not None:
                 a, L = holder
                 bias_bound = theory.bias_uniform_bound(L, a, k.m2, k.h) if L > 0 else 0.0
-                pw = theory.pointwise_risk_bound(
+                bounds = theory.uniform_density_risk_bound(
                     L=L, a=a, M2=k.m2, B=cfg.regression.bound,
                     sigma_sq=cfg.noise.variance, c0=cst.c0, d=cfg.dimension,
-                    M1=k.m1, n=cfg.n, alpha=k.alpha, h=k.h, p0=cst.p0,
+                    M1=k.m1, n=cfg.n, alpha=k.alpha, h=k.h, p0=cst.p0, r0=cst.r0,
                 )
+                pw, integrated = bounds.pointwise_bound, bounds.integrated_bound
         fields = [parameter, repr(float(v)), repr(rep.mse), repr(Z99 * (rep.se_mse or 0.0)),
-                  repr(pw), repr(pw), repr(bias_bound), repr(variance_bound), repr(d_n_min)]
+                  repr(pw), repr(integrated), repr(bias_bound), repr(variance_bound),
+                  repr(d_n_min)]
         lines.append(",".join(fields))
     return lines
 

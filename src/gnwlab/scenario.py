@@ -9,6 +9,7 @@ losslessly.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,8 @@ class QuerySpec:
         integrated = self.outer is not None or self.inner is not None
         if fixed == integrated:
             raise ConfigError("query must give either fixed points or integrated settings")
+        if fixed and not self.points:
+            raise ConfigError("query needs at least one point")
         if integrated and (self.outer is None or self.inner is None):
             raise ConfigError("integrated query needs both outer and inner counts")
 
@@ -109,6 +112,8 @@ class ScenarioConfig:
             raise ConfigError("n must be >= 1")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if not 0 <= self.master_seed < 2**64:  # the stream key keeps 64 bits of it
+            raise ConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if any(d <= 0 for d in self.deltas) or list(self.deltas) != sorted(self.deltas):
             raise ConfigError("deltas must be positive and sorted")
         if not self.query.integrated:
@@ -143,213 +148,134 @@ def _require_keys(d: dict, valid: set[str], required: set[str], where: str):
         raise ConfigError(f"{where}: missing required key(s) {sorted(missing)}")
 
 
-def _convert(kind, value, where: str):
-    """kind(value), with a value that does not convert reported as a ConfigError."""
-    try:
-        return kind(value)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _float(value, where: str) -> float:
+    """A finite JSON number as a float; booleans, NaN, infinities and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where}: {value!r} is not a finite number")
+    return float(value)
 
 
-def _integer(value) -> int:
-    """int(value) for a value without a fractional part: accepts 10 and 10.0, not 10.9."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
+def _integer(value, where: str) -> int:
+    """A JSON integer, or a float without a fractional part: accepts 10 and 10.0, not 10.9."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"{where}: {value!r} is not an integer")
     return int(value)
 
 
-def _point_list(raw) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(v) for v in p) for p in raw)
+def _list(value, where: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list")
+    return value
 
 
-def _float_list(raw) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw)
+def _vector(value, where: str) -> tuple[float, ...]:
+    return tuple(_float(v, where) for v in _list(value, where))
 
 
-def _density_from_dict(d: dict, where: str = "density") -> Density:
+def _holder(value, where: str) -> tuple[float, float] | None:
+    if value is None:
+        return None
+    _require_keys(value, {"a", "L"}, {"a", "L"}, where)
+    a, L = _float(value["a"], f"{where}.a"), _float(value["L"], f"{where}.L")
+    if not (0.0 < a <= 1.0) or L < 0:
+        raise ConfigError(f"{where}: need a in (0, 1] and L >= 0")
+    return (a, L)
+
+
+def _components(value, where: str) -> tuple[tuple[float, Density], ...]:
+    comps = []
+    for i, comp in enumerate(_list(value, where)):
+        at = f"{where}[{i}]"
+        _require_keys(comp, {"weight", "density"}, {"weight", "density"}, at)
+        comps.append((
+            _float(comp["weight"], f"{at}.weight"),
+            _from_dict("density", comp["density"], f"{at}.density"),
+        ))
+    return tuple(comps)
+
+
+# section -> kind -> (class, required keys, optional keys).  An optional key
+# left out of a config takes the class's default.
+_KINDS = {
+    "density": {
+        "uniform_cube": (UniformCube, ("lo", "hi"), ()),
+        "uniform_ball": (UniformBall, ("center", "radius"), ()),
+        "gaussian": (GaussianDensity, ("mean", "stddev"), ()),
+        "mixture": (MixtureDensity, ("components",), ()),
+    },
+    "regression": {
+        "constant": (ConstantFunction, ("value",), ("bound", "holder")),
+        "linear": (LinearFunction, ("slope", "intercept", "bound"), ("holder",)),
+        "sinusoid": (SinusoidFunction, ("amplitude", "frequency"), ("phase", "bound", "holder")),
+        "cusp": (CuspFunction, ("scale", "exponent", "anchor", "bound"), ("holder",)),
+    },
+    "noise": {
+        "none": (NoNoise, (), ()),
+        "bounded_uniform": (BoundedUniformNoise, ("sigma_b",), ()),
+        "rademacher": (RademacherNoise, ("sigma_b",), ()),
+        "gaussian": (GaussianNoise, ("stddev",), ()),
+    },
+}
+
+# key -> (parse(value, where), dump(attribute)) for the keys that are not plain floats
+_VECTOR = (_vector, list)
+_CODECS = {
+    "lo": _VECTOR, "hi": _VECTOR, "center": _VECTOR, "mean": _VECTOR,
+    "slope": _VECTOR, "anchor": _VECTOR,
+    "holder": (_holder, lambda h: None if h is None else {"a": h[0], "L": h[1]}),
+    "components": (
+        _components,
+        lambda comps: [{"weight": w, "density": _to_dict("density", c)} for w, c in comps],
+    ),
+}
+_FLOAT = (_float, lambda v: v)
+
+
+def _from_dict(section: str, d, where: str):
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"{where}: expected an object with a 'kind' key")
+    kinds = _KINDS[section]
     kind = d["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{where}: unknown kind {kind!r}; valid: {', '.join(kinds)}")
+    cls, required, optional = kinds[kind]
+    _require_keys(d, {"kind", *required, *optional}, set(required), where)
+    kwargs = {
+        key: _CODECS.get(key, _FLOAT)[0](d[key], f"{where}.{key}")
+        for key in (*required, *optional) if key in d
+    }
     try:
-        if kind == "uniform_cube":
-            _require_keys(d, {"kind", "lo", "hi"}, {"lo", "hi"}, where)
-            return UniformCube(lo=tuple(d["lo"]), hi=tuple(d["hi"]))
-        if kind == "uniform_ball":
-            _require_keys(d, {"kind", "center", "radius"}, {"center", "radius"}, where)
-            return UniformBall(center=tuple(d["center"]), radius=float(d["radius"]))
-        if kind == "gaussian":
-            _require_keys(d, {"kind", "mean", "stddev"}, {"mean", "stddev"}, where)
-            return GaussianDensity(mean=tuple(d["mean"]), stddev=float(d["stddev"]))
-        if kind == "mixture":
-            _require_keys(d, {"kind", "components"}, {"components"}, where)
-            comps = tuple(
-                (float(c["weight"]), _density_from_dict(c["density"], f"{where}.components[{i}]"))
-                for i, c in enumerate(d["components"])
-            )
-            return MixtureDensity(components=comps)
+        return cls(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown kind {kind!r}; valid: uniform_cube, uniform_ball, gaussian, mixture")
 
 
-def _density_to_dict(dens: Density) -> dict:
-    if isinstance(dens, UniformCube):
-        return {"kind": "uniform_cube", "lo": list(dens.lo), "hi": list(dens.hi)}
-    if isinstance(dens, UniformBall):
-        return {"kind": "uniform_ball", "center": list(dens.center), "radius": dens.radius}
-    if isinstance(dens, GaussianDensity):
-        return {"kind": "gaussian", "mean": list(dens.mean), "stddev": dens.stddev}
-    if isinstance(dens, MixtureDensity):
-        return {
-            "kind": "mixture",
-            "components": [
-                {"weight": w, "density": _density_to_dict(c)} for w, c in dens.components
-            ],
-        }
-    raise ConfigError(f"unserializable density {type(dens).__name__}")
+def _to_dict(section: str, obj) -> dict:
+    for kind, (cls, required, optional) in _KINDS[section].items():
+        if isinstance(obj, cls):
+            return {"kind": kind, **{
+                key: _CODECS.get(key, _FLOAT)[1](getattr(obj, key))
+                for key in (*required, *optional)
+            }}
+    raise ConfigError(f"unserializable {section} {type(obj).__name__}")
 
 
-def _kernel_from_dict(d: dict) -> KernelSpec:
+def _kernel_from_dict(d) -> KernelSpec:
     _require_keys(d, {"base", "alpha", "h", "m1", "m2"}, {"base", "alpha", "h"}, "kernel")
+    floats = {
+        key: _float(d[key], f"kernel.{key}") for key in ("alpha", "h", "m1", "m2") if key in d
+    }
     try:
-        return KernelSpec(
-            base=kernel_by_name(d["base"]),
-            alpha=float(d["alpha"]),
-            h=float(d["h"]),
-            m1=float(d["m1"]) if "m1" in d else None,
-            m2=float(d["m2"]) if "m2" in d else None,
-        )
+        return KernelSpec(base=kernel_by_name(d["base"]), **floats)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"kernel: {exc}") from exc
 
 
 def _kernel_to_dict(k: KernelSpec) -> dict:
     return {"base": k.base.name, "alpha": k.alpha, "h": k.h, "m1": k.m1, "m2": k.m2}
-
-
-def _holder_from_dict(d: dict, where: str):
-    if d is None:
-        return None
-    _require_keys(d, {"a", "L"}, {"a", "L"}, f"{where}.holder")
-    a, L = float(d["a"]), float(d["L"])
-    if not (0.0 < a <= 1.0) or L < 0:
-        raise ConfigError(f"{where}.holder: need a in (0, 1] and L >= 0")
-    return (a, L)
-
-
-def _regression_from_dict(d: dict) -> Regression:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError("regression: expected an object with a 'kind' key")
-    kind = d["kind"]
-    try:
-        if kind == "constant":
-            _require_keys(d, {"kind", "value", "bound", "holder"}, {"value"}, "regression")
-            kw = {"value": float(d["value"])}
-            if "bound" in d:
-                kw["bound"] = float(d["bound"])
-            if "holder" in d:
-                kw["holder"] = _holder_from_dict(d["holder"], "regression")
-            return ConstantFunction(**kw)
-        if kind == "linear":
-            _require_keys(
-                d, {"kind", "slope", "intercept", "bound", "holder"},
-                {"slope", "intercept", "bound"}, "regression",
-            )
-            kw = {
-                "slope": tuple(d["slope"]),
-                "intercept": float(d["intercept"]),
-                "bound": float(d["bound"]),
-            }
-            if "holder" in d:
-                kw["holder"] = _holder_from_dict(d["holder"], "regression")
-            return LinearFunction(**kw)
-        if kind == "sinusoid":
-            _require_keys(
-                d, {"kind", "amplitude", "frequency", "phase", "bound", "holder"},
-                {"amplitude", "frequency"}, "regression",
-            )
-            kw = {"amplitude": float(d["amplitude"]), "frequency": float(d["frequency"])}
-            if "phase" in d:
-                kw["phase"] = float(d["phase"])
-            if "bound" in d:
-                kw["bound"] = float(d["bound"])
-            if "holder" in d:
-                kw["holder"] = _holder_from_dict(d["holder"], "regression")
-            return SinusoidFunction(**kw)
-        if kind == "cusp":
-            _require_keys(
-                d, {"kind", "scale", "exponent", "anchor", "bound", "holder"},
-                {"scale", "exponent", "anchor", "bound"}, "regression",
-            )
-            kw = {
-                "scale": float(d["scale"]),
-                "exponent": float(d["exponent"]),
-                "anchor": tuple(d["anchor"]),
-                "bound": float(d["bound"]),
-            }
-            if "holder" in d:
-                kw["holder"] = _holder_from_dict(d["holder"], "regression")
-            return CuspFunction(**kw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"regression: {exc}") from exc
-    raise ConfigError(f"regression: unknown kind {kind!r}; valid: constant, linear, sinusoid, cusp")
-
-
-def _regression_to_dict(f: Regression) -> dict:
-    holder = list(f.holder) if f.holder is not None else None
-    if isinstance(f, ConstantFunction):
-        d = {"kind": "constant", "value": f.value, "bound": f.bound}
-    elif isinstance(f, LinearFunction):
-        d = {"kind": "linear", "slope": list(f.slope), "intercept": f.intercept, "bound": f.bound}
-    elif isinstance(f, SinusoidFunction):
-        d = {
-            "kind": "sinusoid", "amplitude": f.amplitude, "frequency": f.frequency,
-            "phase": f.phase, "bound": f.bound,
-        }
-    elif isinstance(f, CuspFunction):
-        d = {
-            "kind": "cusp", "scale": f.scale, "exponent": f.exponent,
-            "anchor": list(f.anchor), "bound": f.bound,
-        }
-    else:
-        raise ConfigError(f"unserializable regression {type(f).__name__}")
-    if holder is not None:
-        d["holder"] = {"a": holder[0], "L": holder[1]}
-    return d
-
-
-def _noise_from_dict(d: dict) -> Noise:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError("noise: expected an object with a 'kind' key")
-    kind = d["kind"]
-    try:
-        if kind == "none":
-            _require_keys(d, {"kind"}, set(), "noise")
-            return NoNoise()
-        if kind == "bounded_uniform":
-            _require_keys(d, {"kind", "sigma_b"}, {"sigma_b"}, "noise")
-            return BoundedUniformNoise(sigma_b=float(d["sigma_b"]))
-        if kind == "rademacher":
-            _require_keys(d, {"kind", "sigma_b"}, {"sigma_b"}, "noise")
-            return RademacherNoise(sigma_b=float(d["sigma_b"]))
-        if kind == "gaussian":
-            _require_keys(d, {"kind", "stddev"}, {"stddev"}, "noise")
-            return GaussianNoise(stddev=float(d["stddev"]))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"noise: {exc}") from exc
-    raise ConfigError(f"noise: unknown kind {kind!r}; valid: none, bounded_uniform, rademacher, gaussian")
-
-
-def _noise_to_dict(noise: Noise) -> dict:
-    if isinstance(noise, NoNoise):
-        return {"kind": "none"}
-    if isinstance(noise, BoundedUniformNoise):
-        return {"kind": "bounded_uniform", "sigma_b": noise.sigma_b}
-    if isinstance(noise, RademacherNoise):
-        return {"kind": "rademacher", "sigma_b": noise.sigma_b}
-    if isinstance(noise, GaussianNoise):
-        return {"kind": "gaussian", "stddev": noise.stddev}
-    raise ConfigError(f"unserializable noise {type(noise).__name__}")
 
 
 _TOP_KEYS = {
@@ -366,49 +292,45 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _require_keys(raw, _TOP_KEYS, _TOP_REQUIRED, "config")
-    if raw["schema_version"] != SCHEMA_VERSION:
+    if _integer(raw["schema_version"], "schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {raw['schema_version']!r}; expected {SCHEMA_VERSION}"
         )
 
-    const_raw = raw.get("constants", {}) or {}
+    const_raw = {} if raw.get("constants") is None else raw["constants"]
     _require_keys(const_raw, {"r0", "c0", "p0", "beta"}, set(), "constants")
     constants = ScenarioConstants(**{
-        key: _convert(float, const_raw[key], f"constants.{key}")
+        key: _float(const_raw[key], f"constants.{key}")
         for key in ("r0", "c0", "p0", "beta")
         if const_raw.get(key) is not None
     })
 
     q_raw = raw["query"]
-    if not isinstance(q_raw, dict):
-        raise ConfigError("query must be an object")
     _require_keys(q_raw, {"points", "integrated"}, set(), "query")
+    points = outer = inner = None
     if "points" in q_raw:
-        query = QuerySpec(points=_convert(_point_list, q_raw["points"], "query.points"))
-    elif "integrated" in q_raw:
+        points = tuple(_vector(p, "query.points") for p in _list(q_raw["points"], "query.points"))
+    if "integrated" in q_raw:
         ig = q_raw["integrated"]
         _require_keys(ig, {"outer", "inner"}, {"outer", "inner"}, "query.integrated")
-        query = QuerySpec(
-            outer=_convert(_integer, ig["outer"], "query.integrated.outer"),
-            inner=_convert(_integer, ig["inner"], "query.integrated.inner"),
-        )
-    else:
-        raise ConfigError("query must contain 'points' or 'integrated'")
+        outer = _integer(ig["outer"], "query.integrated.outer")
+        inner = _integer(ig["inner"], "query.integrated.inner")
+    query = QuerySpec(points=points, outer=outer, inner=inner)
 
     kwargs = dict(
-        dimension=_convert(_integer, raw["dimension"], "dimension"),
-        n=_convert(_integer, raw["n"], "n"),
-        density=_density_from_dict(raw["density"]),
+        dimension=_integer(raw["dimension"], "dimension"),
+        n=_integer(raw["n"], "n"),
+        density=_from_dict("density", raw["density"], "density"),
         kernel=_kernel_from_dict(raw["kernel"]),
-        regression=_regression_from_dict(raw["regression"]),
-        noise=_noise_from_dict(raw["noise"]),
+        regression=_from_dict("regression", raw["regression"], "regression"),
+        noise=_from_dict("noise", raw["noise"], "noise"),
         constants=constants,
         query=query,
-        replications=_convert(_integer, raw["replications"], "replications"),
-        master_seed=_convert(_integer, raw["master_seed"], "master_seed"),
+        replications=_integer(raw["replications"], "replications"),
+        master_seed=_integer(raw["master_seed"], "master_seed"),
     )
     if "deltas" in raw:
-        kwargs["deltas"] = _convert(_float_list, raw["deltas"], "deltas")
+        kwargs["deltas"] = _vector(raw["deltas"], "deltas")
     return ScenarioConfig(**kwargs)
 
 
@@ -421,10 +343,10 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "dimension": cfg.dimension,
         "n": cfg.n,
-        "density": _density_to_dict(cfg.density),
+        "density": _to_dict("density", cfg.density),
         "kernel": _kernel_to_dict(cfg.kernel),
-        "regression": _regression_to_dict(cfg.regression),
-        "noise": _noise_to_dict(cfg.noise),
+        "regression": _to_dict("regression", cfg.regression),
+        "noise": _to_dict("noise", cfg.noise),
         "constants": {
             "r0": cfg.constants.r0, "c0": cfg.constants.c0,
             "p0": cfg.constants.p0, "beta": cfg.constants.beta,

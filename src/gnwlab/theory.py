@@ -63,7 +63,8 @@ __all__ = [
     "proxy_gap",
     "pointwise_risk_bound",
     "sqrt_density_integral",
-    "integrated_risk_bound",
+    "uniform_density_risk_bound",
+    "holder_density_risk_bound",
     "bandwidth_admissible_range",
     "measure_retaining_estimate",
     "degree_ratio_check",
@@ -363,98 +364,98 @@ class RiskBoundReport:
     quadrature_error: float = 0.0
 
 
-def integrated_risk_bound(variant: str, **params) -> RiskBoundReport:
-    """Closed-form integrated-risk bound.
+def _bandwidth_window(c1, c2, gamma, delta, n_alpha, epsilon, rate_exponent):
+    """(interval, rate bound) where C1 h^gamma + C2/(n alpha h^delta) <= epsilon,
+    or (None, None) without an epsilon or when that window is empty."""
+    if epsilon is None:
+        return None, None
+    rng = bandwidth_admissible_range(c1, c2, gamma, delta, n_alpha, epsilon, r=rate_exponent)
+    if rng is None:
+        return None, None
+    return (rng.lo, rng.hi), rng.rate_bound
 
-    variant "uniform_density": requires a density lower bound p0 on the
-    support and M1 h < r0; the bound coincides with the pointwise formula
-    with p0(x) replaced by the constant p0.
 
-    variant "holder_density": for densities that are beta-Hoelder with
-    constant L_density and have integrable square root; bound
+def uniform_density_risk_bound(*, L, a, M2, B, sigma_sq, c0, d, M1, n, alpha, h, p0,
+                               r0=None, epsilon=None, rate_exponent=None) -> RiskBoundReport:
+    """Integrated-risk bound for a density at least p0 on its support.
+
+    Requires M1 h < r0 (checked when r0 is given); the bound coincides with
+    the pointwise formula with p0(x) replaced by the constant p0.  With
+    ``epsilon`` (and optionally ``rate_exponent``) supplied, the report also
+    carries the bandwidth window on which the bound stays below epsilon.
+    """
+    if r0 is not None and not (M1 * h < r0):
+        raise InvalidInputError(
+            f"uniform-density bound needs M1*h < r0; got {M1 * h} >= {r0}"
+        )
+    value = pointwise_risk_bound(L=L, a=a, M2=M2, B=B, sigma_sq=sigma_sq, c0=c0, d=d,
+                                 M1=M1, n=n, alpha=alpha, h=h, p0=p0)
+    c1 = 4.0 * L ** 2 * M2 ** (2.0 * a)
+    c2 = (1044.0 * B ** 2 + 260.0 * sigma_sq) / (
+        p0 * c0 * unit_ball_volume(int(d)) * M1 ** d
+    )
+    interval, rate = (None, None) if c1 <= 0 else _bandwidth_window(
+        c1, c2, 2.0 * a, d, n * alpha, epsilon, rate_exponent,
+    )
+    return RiskBoundReport(pointwise_bound=value, integrated_bound=value,
+                           bandwidth_interval=interval, rate_bound=rate)
+
+
+def holder_density_risk_bound(*, L, a, M2, B, sigma_sq, c0, d, M1, n, alpha, h, beta,
+                              L_density=None, r0=None, p0=None, density=None,
+                              sqrt_p_integral=None, epsilon=None,
+                              rate_exponent=None) -> RiskBoundReport:
+    """Integrated-risk bound for a beta-Hoelder density with integrable square root.
+
+    The bound is
 
         C1 h^{min(2a, beta/2)} + C2 / (n alpha h^{d + beta})
 
     with C1 = max(4 L^2 M2^{2a}, 4 B^2 L_density^{1/2} M1^{beta/2} * I_sqrtp)
     and  C2 = (1044 B^2 + 260 sigma^2) / (c0 v_d L_density M1^{d + beta}).
-    Requires h < min(r0 / M1, 1).
-
-    With ``epsilon`` (and optionally ``rate_exponent``) supplied, the report
-    also carries the bandwidth window on which the bound stays below epsilon.
+    L_density defaults to L.  I_sqrtp is ``sqrt_p_integral`` when given and is
+    integrated from ``density`` otherwise.  Requires h < min(r0 / M1, 1)
+    (checked when r0 is given).  The pointwise bound uses p0, which defaults
+    to L_density (M1 h)^beta.  With ``epsilon`` (and optionally
+    ``rate_exponent``) supplied, the report also carries the bandwidth window
+    on which the bound stays below epsilon.
     """
-    epsilon = params.pop("epsilon", None)
-    rate_exponent = params.pop("rate_exponent", None)
-
-    def window(c1, c2, gamma, delta, n_alpha):
-        if epsilon is None:
-            return None, None
-        rng = bandwidth_admissible_range(c1, c2, gamma, delta, n_alpha, epsilon,
-                                         r=rate_exponent)
-        if rng is None:
-            return None, None
-        return (rng.lo, rng.hi), rng.rate_bound
-
-    if variant == "uniform_density":
-        r0 = params.pop("r0", None)
-        if r0 is not None and not (params["M1"] * params["h"] < r0):
-            raise InvalidInputError(
-                f"uniform-density bound needs M1*h < r0; got {params['M1'] * params['h']} >= {r0}"
-            )
-        value = pointwise_risk_bound(**params)
-        c1 = 4.0 * params["L"] ** 2 * params["M2"] ** (2.0 * params["a"])
-        c2 = (1044.0 * params["B"] ** 2 + 260.0 * params["sigma_sq"]) / (
-            params["p0"] * params["c0"] * unit_ball_volume(int(params["d"]))
-            * params["M1"] ** params["d"]
+    if L_density is None:
+        L_density = L
+    if r0 is not None and not (h < min(r0 / M1, 1.0)):
+        raise InvalidInputError(
+            f"Hoelder-density bound needs h < min(r0/M1, 1); got h={h}"
         )
-        interval, rate = (None, None) if c1 <= 0 else window(
-            c1, c2, 2.0 * params["a"], params["d"], params["n"] * params["alpha"],
-        )
-        return RiskBoundReport(pointwise_bound=value, integrated_bound=value,
-                               bandwidth_interval=interval, rate_bound=rate)
-
-    if variant == "holder_density":
-        L = params["L"]
-        a = params["a"]
-        M1, M2 = params["M1"], params["M2"]
-        B, sigma_sq = params["B"], params["sigma_sq"]
-        c0, d = params["c0"], params["d"]
-        n, alpha, h = params["n"], params["alpha"], params["h"]
-        beta = params["beta"]
-        L_density = params.get("L_density", L)
-        r0 = params.get("r0")
-        if r0 is not None and not (h < min(r0 / M1, 1.0)):
-            raise InvalidInputError(
-                f"Hoelder-density bound needs h < min(r0/M1, 1); got h={h}"
-            )
-        if L_density <= 0:
-            raise InvalidInputError("density Hoelder constant must be positive")
-        if "sqrt_p_integral" in params:
-            i_sqrtp, q_err = params["sqrt_p_integral"], 0.0
-        else:
-            i_sqrtp, q_err = sqrt_density_integral(params["density"])
-        c1 = max(
-            4.0 * L * L * M2 ** (2.0 * a),
-            4.0 * B * B * math.sqrt(L_density) * M1 ** (beta / 2.0) * i_sqrtp,
-        )
-        c2 = (1044.0 * B * B + 260.0 * sigma_sq) / (
-            c0 * unit_ball_volume(int(d)) * L_density * M1 ** (d + beta)
-        )
-        value = c1 * h ** min(2.0 * a, beta / 2.0) + c2 / (n * alpha * h ** (d + beta))
-        pw = pointwise_risk_bound(
-            L=L, a=a, M2=M2, B=B, sigma_sq=sigma_sq, c0=c0, d=d, M1=M1,
-            n=n, alpha=alpha, h=h, p0=params.get("p0", L_density * M1**beta * h**beta),
-        )
-        interval, rate = window(c1, c2, min(2.0 * a, beta / 2.0), d + beta, n * alpha)
-        return RiskBoundReport(
-            pointwise_bound=pw,
-            integrated_bound=value,
-            holder_integrated_bound=value,
-            bandwidth_interval=interval,
-            rate_bound=rate,
-            quadrature_error=q_err,
-        )
-
-    raise InvalidInputError(f"unknown integrated-risk variant {variant!r}")
+    if L_density <= 0:
+        raise InvalidInputError("density Hoelder constant must be positive")
+    if sqrt_p_integral is not None:
+        i_sqrtp, q_err = sqrt_p_integral, 0.0
+    elif density is not None:
+        i_sqrtp, q_err = sqrt_density_integral(density)
+    else:
+        raise InvalidInputError("Hoelder-density bound needs density or sqrt_p_integral")
+    c1 = max(
+        4.0 * L * L * M2 ** (2.0 * a),
+        4.0 * B * B * math.sqrt(L_density) * M1 ** (beta / 2.0) * i_sqrtp,
+    )
+    c2 = (1044.0 * B * B + 260.0 * sigma_sq) / (
+        c0 * unit_ball_volume(int(d)) * L_density * M1 ** (d + beta)
+    )
+    value = c1 * h ** min(2.0 * a, beta / 2.0) + c2 / (n * alpha * h ** (d + beta))
+    pw = pointwise_risk_bound(
+        L=L, a=a, M2=M2, B=B, sigma_sq=sigma_sq, c0=c0, d=d, M1=M1,
+        n=n, alpha=alpha, h=h, p0=p0 if p0 is not None else L_density * M1**beta * h**beta,
+    )
+    interval, rate = _bandwidth_window(c1, c2, min(2.0 * a, beta / 2.0), d + beta, n * alpha,
+                                       epsilon, rate_exponent)
+    return RiskBoundReport(
+        pointwise_bound=pw,
+        integrated_bound=value,
+        holder_integrated_bound=value,
+        bandwidth_interval=interval,
+        rate_bound=rate,
+        quadrature_error=q_err,
+    )
 
 
 def bandwidth_admissible_range(C1, C2, gamma, Delta, n_alpha, epsilon, r=None):

@@ -138,6 +138,44 @@ def test_fractional_integer_is_usage_error(config, path, value, tmp_path, capsys
     assert err == f"error: {'.'.join(path)}: {value!r} is not an integer\n"
 
 
+@pytest.mark.parametrize("value", [True, math.inf, math.nan], ids=["true", "Infinity", "NaN"])
+@pytest.mark.parametrize("path, field", [
+    (("n",), "n"),
+    (("replications",), "replications"),
+    (("kernel", "h"), "kernel.h"),
+    (("density", "radius"), "density.radius"),
+    (("deltas", 1), "deltas"),
+], ids=["n", "replications", "kernel.h", "density.radius", "deltas"])
+def test_boolean_or_non_finite_number_is_usage_error(path, field, value, tmp_path, capsys):
+    payload = json.loads(open(_cfg("expectation.json")).read())
+    payload["density"] = {"kind": "uniform_ball", "center": [0.5], "radius": 0.5}
+    payload["deltas"] = [0.25, 0.5]
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code = _run("verify", "--config", str(bad), "--suite", "expectation")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed, override", [(-1, None), (2**64, None), (5, "-1")],
+                         ids=["negative", "2**64", "override"])
+def test_master_seed_out_of_range_is_usage_error(seed, override, tmp_path, capsys):
+    payload = json.loads(open(_cfg("expectation.json")).read())
+    payload["master_seed"] = seed
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    extra = [] if override is None else ["--seed", override]
+    code = _run("verify", "--config", str(bad), "--suite", "expectation", *extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: master_seed must lie in") and err.count("\n") == 1
+
+
 def test_integral_float_is_accepted(tmp_path):
     payload = json.loads(open(_cfg("expectation.json")).read())
     payload["n"] = float(payload["n"])

@@ -26,7 +26,7 @@ from gnwlab.theory import (
     degree_lower_bound,
     degree_ratio_check,
     expectation_gnw,
-    integrated_risk_bound,
+    holder_density_risk_bound,
     lebesgue_ratio_bracket,
     local_connection,
     local_degree,
@@ -37,6 +37,7 @@ from gnwlab.theory import (
     smoothed_value,
     sqrt_density_integral,
     theory_report,
+    uniform_density_risk_bound,
     variance_lower_bound,
     variance_upper_bound,
 )
@@ -293,23 +294,23 @@ def test_pointwise_risk_bound_composes():
 
 
 def test_integrated_risk_uniform_variant():
-    rep = integrated_risk_bound(
-        "uniform_density", L=1, a=1, M2=1, B=1, sigma_sq=1, c0=1, d=1, M1=1,
+    rep = uniform_density_risk_bound(
+        L=1, a=1, M2=1, B=1, sigma_sq=1, c0=1, d=1, M1=1,
         n=1000, alpha=1, h=0.1, p0=1, r0=1.0,
     )
     assert rep.integrated_bound == pytest.approx(6.56, rel=1e-12)
     assert rep.pointwise_bound == rep.integrated_bound
     assert rep.bandwidth_interval is None  # no epsilon requested
     with pytest.raises(InvalidInputError, match="r0"):
-        integrated_risk_bound(
-            "uniform_density", L=1, a=1, M2=1, B=1, sigma_sq=1, c0=1, d=1, M1=1,
+        uniform_density_risk_bound(
+            L=1, a=1, M2=1, B=1, sigma_sq=1, c0=1, d=1, M1=1,
             n=1000, alpha=1, h=0.5, p0=1, r0=0.2,
         )
 
 
 def test_integrated_risk_attaches_bandwidth_window():
-    rep = integrated_risk_bound(
-        "uniform_density", L=1, a=1, M2=1, B=1, sigma_sq=1, c0=1, d=1, M1=1,
+    rep = uniform_density_risk_bound(
+        L=1, a=1, M2=1, B=1, sigma_sq=1, c0=1, d=1, M1=1,
         n=1000, alpha=1, h=0.1, p0=1, r0=1.0, epsilon=20.0, rate_exponent=0.5,
     )
     assert rep.bandwidth_interval is not None
@@ -329,8 +330,8 @@ def test_sqrt_density_integral_gaussian():
 
 def test_integrated_risk_holder_variant():
     dens = GaussianDensity(mean=(0.0,), stddev=1.0)
-    rep = integrated_risk_bound(
-        "holder_density", L=1.0, a=1.0, M2=1.0, B=1.0, sigma_sq=0.0, c0=1.0, d=1,
+    rep = holder_density_risk_bound(
+        L=1.0, a=1.0, M2=1.0, B=1.0, sigma_sq=0.0, c0=1.0, d=1,
         M1=1.0, n=1000, alpha=1.0, h=0.1, beta=1.0, L_density=0.25, density=dens, r0=None,
     )
     i_sqrtp = 2.0**0.75 * math.pi**0.25
@@ -339,8 +340,8 @@ def test_integrated_risk_holder_variant():
     expected = c1 * 0.1 ** min(2.0, 0.5) + c2 / (1000 * 0.1**2)
     assert rep.holder_integrated_bound == pytest.approx(expected, rel=1e-8)
     with pytest.raises(InvalidInputError, match="h < min"):
-        integrated_risk_bound(
-            "holder_density", L=1.0, a=1.0, M2=1.0, B=1.0, sigma_sq=0.0, c0=1.0,
+        holder_density_risk_bound(
+            L=1.0, a=1.0, M2=1.0, B=1.0, sigma_sq=0.0, c0=1.0,
             d=1, M1=1.0, n=1000, alpha=1.0, h=1.5, beta=1.0, L_density=0.25,
             density=dens, r0=10.0,
         )
