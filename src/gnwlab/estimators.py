@@ -6,9 +6,11 @@ kernel version by K((x - X_i)/h).  For an indicator base kernel at full
 sparsity the edge indicators equal the kernel weights, so the two estimators
 coincide bit for bit on a common draw.
 
-All row reductions go through one shared routine so that a prediction
-computed from a single neighborhood is bit-identical to the same replication
-computed inside a vectorised batch.
+All row reductions go through one shared routine, ``predict_rows``: single
+neighborhoods pass one row, the Monte Carlo driver passes the rows of a
+window batch.  Window rows are padded with zero weights, which add nothing
+to either sum; a row's value depends only on the batch it lies in, so it is
+independent of how the driver groups or schedules batches.
 """
 
 from dataclasses import dataclass

@@ -1,20 +1,35 @@
 """Latent-position graph sampling and the ratio-weight identities.
 
-Estimation runs only ever need the edges adjacent to the query point, so the
-sampler draws, per replication, the n latent points, n edge uniforms and n
-noise values -- O(n) instead of O(n^2).  Full-graph sampling exists for
-figure reproduction only.
+An estimate at a query point x reads only the edges between x and the other
+nodes, so no sampler here draws more than O(n) values per replication, and
+the Monte Carlo one draws far fewer.  Full-graph sampling exists for figure
+reproduction only.
 
-Replications are organized in fixed-size batches: replication ``r`` lives in
-row ``r % B`` of batch ``r // B``, and each batch owns three derived random
-streams (latents / edge uniforms / noise).  The batch layout depends only on
-(n, d), so a replication's data is bit-identical whether it is drawn alone,
-inside a vectorised sweep, or under any worker-thread count.
+Window batches (Monte Carlo).  Under a kernel supported in B(x, h r_K), only
+nodes in a window W containing that ball can connect to x.  The nodes of an
+n-point draw that fall in W form a binomial point process: N_w ~ Bin(n, pi_w)
+of them, iid from p restricted to W, where pi_w = P(X in W).  A window batch
+draws exactly that for each of its rows, applies the edge rule U < k(x, X)
+and pads the rows to the batch's largest N_w with edges that never fire.
+Each batch belongs to one query point and owns one stream, keyed by
+(master_seed, query index, batch index); the rows per batch depend only on
+(n, pi_w, d).  A replication's prediction therefore depends only on
+(master_seed, its query index, its index within that query), never on the
+replication count, the other query points or the worker-thread count.  A
+replication costs O(n pi_w) instead of O(n).
 
-Every stream fills its batch row by row, so rows [0, k) of a batch can be
-drawn without the rest: a single draw at replication ``r`` costs O((r % B + 1)
-n).  Only the latents of a density that is not ``Density.prefix_stable``
-(uniform ball, mixture) are still drawn for the whole batch and cut.
+Single draws (``sample_neighborhood``, the tradeoff figure).  These keep the
+full n-point draw, organized in fixed-size batches: replication ``r`` lives
+in row ``r % B`` of batch ``r // B``, and each batch owns three derived
+random streams (latents / edge uniforms / noise).  The batch layout depends
+only on (n, d).  Every stream fills its batch row by row, so rows [0, k) of a
+batch can be drawn without the rest: a single draw at replication ``r`` costs
+O((r % B + 1) n).  Only the latents of a density that is not
+``Density.prefix_stable`` (uniform ball, mixture) are still drawn for the
+whole batch and cut.
+
+Both kinds of batch refuse, with ``ResourceBudgetError``, to allocate float64
+arrays larger than ``FLOAT_BUDGET_BYTES``.
 """
 
 from dataclasses import dataclass
@@ -27,7 +42,10 @@ from .errors import InvalidInputError, ResourceBudgetError
 from .model import Density, KernelSpec, Noise, Regression, as_point
 
 __all__ = [
+    "FLOAT_BUDGET_BYTES",
     "QueryNeighborhood",
+    "QueryWindow",
+    "WindowBatch",
     "FullGraph",
     "SeedRecord",
     "NeighborhoodSampler",
@@ -39,6 +57,18 @@ __all__ = [
     "export_edges_csv",
     "export_points_csv",
 ]
+
+
+# Largest total size of the float64 arrays one batch may allocate.
+FLOAT_BUDGET_BYTES = 1 << 30
+
+
+def _check_budget(floats: int, rows: int, nodes: int):
+    """Refuse a batch of ``rows`` rows and ``nodes`` nodes needing ``floats`` float64s."""
+    if floats * 8 > FLOAT_BUDGET_BYTES:
+        raise ResourceBudgetError(
+            f"a batch of {rows} rows and {nodes} nodes needs {floats * 8} bytes of "
+            f"float64 arrays, above the budget of {FLOAT_BUDGET_BYTES} bytes")
 
 
 @dataclass(frozen=True)
@@ -63,13 +93,49 @@ class QueryNeighborhood:
         return self.points.shape[0]
 
 
+@dataclass(frozen=True)
+class QueryWindow:
+    """A query point with its window mass pi_w and its expected window count."""
+
+    x: np.ndarray
+    mass: float
+    expected: float  # n pi_w
+
+    def batch_rows(self, batch_index: int) -> int:
+        """Rows of window batch ``batch_index``; they depend on (n pi_w, d) only."""
+        return rngmod.window_rows(self.expected, self.x.shape[0], batch_index)
+
+    def batches(self, replications: int):
+        """(batch index, first replication, rows) of the batches that cover
+        replications [0, replications)."""
+        b = lo = 0
+        while lo < replications:
+            rows = self.batch_rows(b)
+            yield b, lo, rows
+            b, lo = b + 1, lo + rows
+
+
+@dataclass(frozen=True)
+class WindowBatch:
+    """One window batch of a query point, rows padded to m = counts.max().
+
+    Row r holds counts[r] window nodes, in the first counts[r] slots of
+    ``edges`` and ``labels``; a padded slot has edge 0 and label 0.
+    """
+
+    counts: np.ndarray  # (rows,) int
+    points: np.ndarray  # (counts.sum(), d): the window nodes, in row order
+    edges: np.ndarray  # (rows, m) float edge indicators
+    labels: np.ndarray  # (rows, m)
+
+
 class NeighborhoodSampler:
     """Draws query neighborhoods for one scenario, batch by batch.
 
-    Latent points, noise and labels do not depend on the query point; only
-    the edge comparison does, so one drawn batch can serve every query point
-    whose replications fall in it.  The sampler keeps no state between
-    calls and may be shared by worker threads.
+    ``batch`` draws whole n-point rows for single draws; ``window_batch``
+    draws only the nodes that can connect to one query point, for the Monte
+    Carlo driver.  The sampler keeps no state between calls and may be
+    shared by worker threads.
     """
 
     def __init__(self, density: Density, kernel: KernelSpec, regression: Regression,
@@ -95,6 +161,9 @@ class NeighborhoodSampler:
         stop = self.rows if stop is None else stop
         if not 0 <= stop <= self.rows:
             raise InvalidInputError(f"stop must lie in [0, {self.rows}], got {stop}")
+        latent_rows = stop if self.density.prefix_stable else self.rows
+        _check_budget(latent_rows * self.n * self.density.dim + 3 * stop * self.n,
+                      stop, stop * self.n)
         shape = (stop, self.n)
         latent = rngmod.stream(self.master_seed, rngmod.LATENT, batch_index)
         if self.density.prefix_stable:
@@ -105,6 +174,37 @@ class NeighborhoodSampler:
         eps = self.noise.sample(rngmod.stream(self.master_seed, rngmod.NOISE, batch_index), shape)
         labels = self.regression.evaluate(pts) + eps
         return pts, unif, labels
+
+    def window(self, x) -> QueryWindow:
+        """The window of query point x under the kernel's support radius."""
+        x = as_point(x, dim=self.density.dim)
+        mass = min(1.0, self.density.window_mass(x, self.kernel.support_radius))
+        return QueryWindow(x, mass, self.n * mass)
+
+    def window_batch(self, window: QueryWindow, query_index: int,
+                     batch_index: int) -> WindowBatch:
+        """Batch ``batch_index`` of the query point with index ``query_index``.
+
+        Its rows are the query's replications in the order of
+        ``window.batches``.  The batch is always drawn whole, from one
+        stream: the counts N_w ~ Bin(n, pi_w) of every row, then their window
+        points, edge uniforms and noise, each as one flat draw in row order.
+        """
+        d = self.density.dim
+        rows = window.batch_rows(batch_index)
+        gen = rngmod.stream(self.master_seed, rngmod.WINDOW, query_index, batch_index)
+        counts = gen.binomial(self.n, window.mass, size=rows)
+        total, m = int(counts.sum()), int(counts.max())
+        _check_budget(total * (d + 3) + 2 * rows * m, rows, total)
+        points = self.density.window_sample(gen, window.x, self.kernel.support_radius, total)
+        unif = gen.random(total)
+        labels = self.regression.evaluate(points) + self.noise.sample(gen, (total,))
+        used = np.arange(m) < counts[:, None]
+        padded_edges = np.zeros((rows, m))
+        padded_edges[used] = self.edges(window.x, points, unif)
+        padded_labels = np.zeros((rows, m))
+        padded_labels[used] = labels
+        return WindowBatch(counts, points, padded_edges, padded_labels)
 
     def edges(self, x, points: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """Float edge indicators between x and points, given their uniforms.

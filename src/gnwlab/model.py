@@ -14,7 +14,17 @@ conditions that the closed-form bounds rely on:
 
 ``M1``/``M2`` are stored as declared constants; :func:`assumption_audit`
 checks declarations against the actual kernel and reports witnesses for any
-violation instead of silently trusting them.  (The lower envelope could in
+violation instead of silently trusting them.  Sampling and integration
+windows never use the declared ``M2``: they use the base profile's own
+support radius, so a kernel declared with a smaller ``M2`` still reaches
+every point it can connect to.
+
+Every density also describes its restriction to a window around a query
+point: ``window_mass(x, radius)`` is the probability mass pi_w of a window
+that contains the ball B(x, radius), and ``window_sample`` draws iid points
+from p restricted to that same window.  A binomial point process restricted
+to a set is again binomial, so Bin(n, pi_w) window points have the law of
+the n-point draw's nodes in that window.  (The lower envelope could in
 principle be replaced by continuity at 0 with K(0) = 1; only the envelope
 form is supported here.)
 """
@@ -23,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import betainc, ndtr, ndtri
 
 from .errors import InvalidInputError
 
@@ -86,6 +97,8 @@ class _RadialKernel:
     name: str = ""
     default_m1: float = 1.0
     default_m2: float = 1.0
+    # The profile vanishes for r > support_radius, whatever M2 is declared.
+    support_radius: float = 1.0
     # Radii (in units of h) where the profile is non-smooth; quadrature
     # splits its panels there.
     kink_radii: tuple[float, ...] = (1.0,)
@@ -201,9 +214,9 @@ class KernelSpec:
     # -- geometry ----------------------------------------------------------
 
     @property
-    def window_radius(self) -> float:
-        """Radius beyond which k(x, .) vanishes (declared support * h)."""
-        return self.m2 * self.h
+    def support_radius(self) -> float:
+        """Radius beyond which k(x, .) vanishes: the base's own support * h."""
+        return self.base.support_radius * self.h
 
     @property
     def kink_radii(self) -> tuple[float, ...]:
@@ -241,6 +254,15 @@ class Density:
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """A box containing (numerically) all of the density's mass."""
+        raise NotImplementedError
+
+    def window_mass(self, x: np.ndarray, radius: float) -> float:
+        """pi_w: the mass p puts on this density's window around B(x, radius)."""
+        raise NotImplementedError
+
+    def window_sample(self, rng: np.random.Generator, x: np.ndarray, radius: float,
+                      count: int) -> np.ndarray:
+        """(count, d) iid points from p restricted to the window of ``window_mass``."""
         raise NotImplementedError
 
     @property
@@ -303,6 +325,20 @@ class UniformCube(Density):
     def bounding_box(self):
         return np.asarray(self.lo), np.asarray(self.hi)
 
+    def _window_box(self, x, radius):
+        """The bounding box of B(x, radius), cut to the cube."""
+        return np.maximum(x - radius, self.lo), np.minimum(x + radius, self.hi)
+
+    def window_mass(self, x, radius):
+        lo, hi = self._window_box(x, radius)
+        if np.any(hi <= lo):
+            return 0.0
+        return float(np.prod((hi - lo) / np.subtract(self.hi, self.lo)))
+
+    def window_sample(self, rng, x, radius, count):
+        lo, hi = self._window_box(x, radius)
+        return np.minimum(lo + rng.random((count, self.dim)) * (hi - lo), hi)
+
     def breakpoint_planes(self):
         return [[self.lo[k], self.hi[k]] for k in range(self.dim)]
 
@@ -338,16 +374,39 @@ class UniformBall(Density):
         return d2 <= self.radius**2
 
     def sample(self, rng, shape=()):
-        shape = tuple(shape)
-        direction = rng.standard_normal(shape + (self.dim,))
-        norms = np.sqrt(np.sum(direction**2, axis=-1, keepdims=True))
-        norms[norms == 0] = 1.0
-        radii = self.radius * rng.random(shape + (1,)) ** (1.0 / self.dim)
-        return np.asarray(self.center) + direction / norms * radii
+        return _ball_points(rng, np.asarray(self.center), self.radius, tuple(shape))
 
     def bounding_box(self):
         c = np.asarray(self.center)
         return c - self.radius, c + self.radius
+
+    def window_mass(self, x, radius):
+        sep = float(np.linalg.norm(x - np.asarray(self.center)))
+        return _ball_intersection_volume(self.dim, radius, self.radius, sep) / self.volume
+
+    def window_sample(self, rng, x, radius, count):
+        """Rejection from the smaller of B(x, radius) and the support ball.
+
+        A candidate is kept when it lies in both balls.  The expected number
+        of candidates per kept point is vol(smaller ball) / vol(intersection),
+        so a row of Bin(n, pi_w) points costs at most n candidates on average.
+        """
+        c = np.asarray(self.center)
+        small, r_small = (x, radius) if radius <= self.radius else (c, self.radius)
+        sep = float(np.linalg.norm(x - c))
+        accept = (_ball_intersection_volume(self.dim, radius, self.radius, sep)
+                  / (unit_ball_volume(self.dim) * r_small**self.dim))
+        out = np.empty((count, self.dim))
+        filled = 0
+        while filled < count:
+            need = count - filled
+            cand = _ball_points(rng, small, r_small,
+                                (min(_REJECTION_CHUNK, int(need / accept) + 16),))
+            keep = cand[(np.sum((cand - x) ** 2, axis=-1) <= radius**2)
+                        & (np.sum((cand - c) ** 2, axis=-1) <= self.radius**2)][:need]
+            out[filled:filled + keep.shape[0]] = keep
+            filled += keep.shape[0]
+        return out
 
     def breakpoint_spheres(self):
         return [(np.asarray(self.center), float(self.radius))]
@@ -391,6 +450,30 @@ class GaussianDensity(Density):
         # 12 sigma holds all mass to far below any tolerance used here
         c = np.asarray(self.mean)
         return c - 12.0 * self.stddev, c + 12.0 * self.stddev
+
+    def _window_axes(self, x, radius):
+        """Standardised per-axis bounds of the window box [x - radius, x + radius].
+
+        An axis whose interval lies wholly above the mean is reflected
+        (flip), so both CDF values are taken in the lower tail, where ndtr
+        keeps its relative accuracy.  Returns (flip, cdf_lo, cdf_width).
+        """
+        m = np.asarray(self.mean)
+        a = (x - radius - m) / self.stddev
+        b = (x + radius - m) / self.stddev
+        flip = a > 0.0
+        cdf_lo = ndtr(np.where(flip, -b, a))
+        return flip, cdf_lo, ndtr(np.where(flip, -a, b)) - cdf_lo
+
+    def window_mass(self, x, radius):
+        return float(np.prod(self._window_axes(x, radius)[2]))
+
+    def window_sample(self, rng, x, radius, count):
+        """Inverse-CDF draws per axis from the normal truncated to the box."""
+        flip, cdf_lo, width = self._window_axes(x, radius)
+        z = ndtri(cdf_lo + rng.random((count, self.dim)) * width)
+        pts = np.asarray(self.mean) + self.stddev * np.where(flip, -z, z)
+        return np.clip(pts, x - radius, x + radius)
 
     @property
     def unbounded_support(self) -> bool:
@@ -448,6 +531,29 @@ class MixtureDensity(Density):
         hi = np.max([b[1] for b in boxes], axis=0)
         return lo, hi
 
+    def _window_masses(self, x, radius) -> np.ndarray:
+        return np.array([w * dens.window_mass(x, radius) for w, dens in self.components])
+
+    def window_mass(self, x, radius):
+        return math.fsum(self._window_masses(x, radius))
+
+    def window_sample(self, rng, x, radius, count):
+        """Split the points over the components with weights w_k pi_k (a
+        multinomial split), then draw each component's share from its own
+        window.  Every component window contains B(x, radius)."""
+        if count == 0:
+            return np.empty((0, self.dim))
+        masses = self._window_masses(x, radius)
+        idx = np.searchsorted(np.cumsum(masses) / masses.sum(), rng.random(count),
+                              side="right")
+        idx = np.minimum(idx, np.flatnonzero(masses)[-1])
+        out = np.empty((count, self.dim))
+        for k, (_, dens) in enumerate(self.components):
+            sel = idx == k
+            if sel.any():
+                out[sel] = dens.window_sample(rng, x, radius, int(np.count_nonzero(sel)))
+        return out
+
     @property
     def unbounded_support(self) -> bool:
         return any(dens.unbounded_support for _, dens in self.components)
@@ -471,6 +577,44 @@ def unit_ball_volume(d: int) -> float:
     if d < 1:
         raise InvalidInputError(f"dimension must be >= 1, got {d}")
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+
+
+# Candidates drawn per rejection round of UniformBall.window_sample.
+_REJECTION_CHUNK = 1 << 16
+
+
+def _ball_points(rng, center: np.ndarray, radius: float, shape: tuple) -> np.ndarray:
+    """Uniform points in a ball, of shape (*shape, d): a normal direction, then
+    a radius drawn as radius * U^(1/d)."""
+    d = center.shape[0]
+    direction = rng.standard_normal(shape + (d,))
+    norms = np.sqrt(np.sum(direction**2, axis=-1, keepdims=True))
+    norms[norms == 0] = 1.0
+    radii = radius * rng.random(shape + (1,)) ** (1.0 / d)
+    return center + direction / norms * radii
+
+
+def _ball_cap_volume(d: int, radius: float, plane_dist: float) -> float:
+    """Volume of the spherical cap cut off beyond a plane at signed distance
+    ``plane_dist`` from the center (negative distance -> more than half)."""
+    if plane_dist >= radius:
+        return 0.0
+    if plane_dist <= -radius:
+        return unit_ball_volume(d) * radius**d
+    full = unit_ball_volume(d) * radius**d
+    x = 1.0 - (plane_dist / radius) ** 2
+    half_cap = 0.5 * full * betainc((d + 1) / 2.0, 0.5, x)
+    return half_cap if plane_dist >= 0.0 else full - half_cap
+
+
+def _ball_intersection_volume(d, r1, r2, separation) -> float:
+    """Volume of the intersection of two d-balls with center distance s."""
+    if separation >= r1 + r2:
+        return 0.0
+    if separation <= abs(r1 - r2):
+        return unit_ball_volume(d) * min(r1, r2) ** d
+    a1 = (separation**2 + r1**2 - r2**2) / (2.0 * separation)
+    return _ball_cap_volume(d, r1, a1) + _ball_cap_volume(d, r2, separation - a1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Monte Carlo estimation of the graph estimator's moments, tails and risks.
 
-Replications are vectorised in fixed batches (see :mod:`gnwlab.graph`); one
-driver draws each batch once and runs the batches on a worker pool.  Batch
-boundaries and the final reduction order are fixed by the scenario alone, so
-every estimate is bit-identical across thread counts.  An exhaustive 2^n
-enumeration oracle over the conditional edge distribution provides exact
-small-n expectations to check the Monte Carlo and the closed-form theory
-against.
+Replications are vectorised in window batches (see :mod:`gnwlab.graph`):
+each draws, per replication, only the nodes that can connect to its query
+point.  One driver draws every batch once and runs the batches on a worker
+pool.  Batch boundaries and the final reduction order are fixed by the
+scenario and the query points alone, so every estimate is bit-identical
+across thread counts, and a query point's predictions do not depend on the
+other query points.  An exhaustive 2^n enumeration oracle over the
+conditional edge distribution provides exact small-n expectations to check
+the Monte Carlo and the closed-form theory against.
 """
 
 import math
@@ -102,9 +104,11 @@ def _map_replications(config, xs: np.ndarray, per_query: int,
                       threads: int) -> PredictionBatch:
     """Predictions for len(xs) * per_query replications, in replication order.
 
-    Replication r queries xs[r // per_query].  Each batch is drawn once and
-    its rows are filled one query-point slice at a time; every batch is one
-    job on a pool of ``threads`` workers sharing a single sampler.
+    Replication r queries xs[r // per_query].  Each query point's
+    replications come from its own window batches (see
+    ``NeighborhoodSampler.window_batch``), so a batch never spans two query
+    points; every batch is one job on a pool of ``threads`` workers sharing
+    a single sampler.
     """
     if threads < 1:
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
@@ -112,26 +116,22 @@ def _map_replications(config, xs: np.ndarray, per_query: int,
         config.density, config.kernel, config.regression, config.noise,
         config.n, config.master_seed,
     )
-    R = len(xs) * per_query
-    rows = sampler.rows
-    values = np.empty(R, dtype=np.float64)
-    masses = np.empty(R, dtype=np.float64)
+    values = np.empty(len(xs) * per_query, dtype=np.float64)
+    masses = np.empty_like(values)
+    jobs = []
+    for q, x in enumerate(xs):
+        window = sampler.window(x)
+        jobs.extend((window, q, b, lo, min(rows, per_query - lo))
+                    for b, lo, rows in window.batches(per_query))
 
-    def fill(b: int):
-        lo = b * rows
-        hi = min(lo + rows, R)
-        pts, unif, labels = sampler.batch(b, stop=hi - lo)
-        t = lo
-        while t < hi:
-            q = t // per_query
-            t_hi = min((q + 1) * per_query, hi)
-            s = slice(t - lo, t_hi - lo)
-            values[t:t_hi], masses[t:t_hi] = predict_rows(
-                labels[s], sampler.edges(xs[q], pts[s], unif[s]))
-            t = t_hi
+    def fill(job):
+        window, q, b, lo, k = job
+        w = sampler.window_batch(window, q, b)
+        t = q * per_query + lo
+        values[t:t + k], masses[t:t + k] = predict_rows(w.labels[:k], w.edges[:k])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, range((R + rows - 1) // rows)))
+        list(pool.map(fill, jobs))
     return PredictionBatch(values=values, masses=masses)
 
 
@@ -230,11 +230,12 @@ def estimate_integrated_risk(config, R_outer: int, R_inner: int,
                              seed: int | None = None, threads: int = 1) -> MCReport:
     """Doubly averaged squared-error risk over query points drawn from p.
 
-    Outer draws x_j ~ p come from their own stream; inner replication j*i
-    reuses the scenario's shared latent/edge/noise streams at global index
-    j * R_inner + i, so bandwidth or sparsity sweeps see common random
-    numbers.  The confidence interval comes from the outer sample variance
-    of the inner means (which already contains the inner noise).
+    Outer draws x_j ~ p come from their own stream; inner replication i at
+    x_j is replication i of query index j, drawn from x_j's own window
+    batches.  Sparsity (alpha) sweeps and noise-model changes see common
+    random numbers; bandwidth and n sweeps draw fresh windows at every
+    value.  The confidence interval comes from the outer sample variance of
+    the inner means (which already contains the inner noise).
     """
     if R_outer < 10 or R_inner < 10:
         raise InvalidInputError("R_outer and R_inner must both be >= 10")

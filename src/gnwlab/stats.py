@@ -10,12 +10,6 @@ import math
 Z99 = 2.5758293035489004
 
 
-def mean_ci_halfwidth(sample_sd: float, count: int, z: float = Z99) -> float:
-    if count <= 0:
-        return math.inf
-    return z * sample_sd / math.sqrt(count)
-
-
 def wilson_interval(successes: float, trials: int, z: float = Z99) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from . import rng as rngmod
 from .errors import InvalidInputError
@@ -78,42 +77,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _ball_cap_volume(d: int, radius: float, plane_dist: float) -> float:
-    """Volume of the spherical cap cut off beyond a plane at signed distance
-    ``plane_dist`` from the center (negative distance -> more than half)."""
-    if plane_dist >= radius:
-        return 0.0
-    if plane_dist <= -radius:
-        return unit_ball_volume(d) * radius**d
-    full = unit_ball_volume(d) * radius**d
-    x = 1.0 - (plane_dist / radius) ** 2
-    half_cap = 0.5 * full * betainc((d + 1) / 2.0, 0.5, x)
-    return half_cap if plane_dist >= 0.0 else full - half_cap
-
-
-def _ball_intersection_volume(d, r1, r2, separation) -> float:
-    """Volume of the intersection of two d-balls with center distance s."""
-    if separation >= r1 + r2:
-        return 0.0
-    if separation <= abs(r1 - r2):
-        return unit_ball_volume(d) * min(r1, r2) ** d
-    a1 = (separation**2 + r1**2 - r2**2) / (2.0 * separation)
-    return _ball_cap_volume(d, r1, a1) + _ball_cap_volume(d, r2, separation - a1)
-
-
 def _closed_form_connection(density: Density, kernel: KernelSpec, x: np.ndarray) -> float | None:
     """Exact c_n for indicator kernels over uniform densities, else None."""
     if not isinstance(kernel.base, IndicatorKernel):
         return None
-    h = kernel.h
-    if isinstance(density, UniformCube) and density.dim == 1:
-        lo, hi = density.lo[0], density.hi[0]
-        overlap = max(0.0, min(x[0] + h, hi) - max(x[0] - h, lo))
-        return kernel.alpha * overlap / (hi - lo)
-    if isinstance(density, UniformBall):
-        sep = float(np.linalg.norm(x - np.asarray(density.center)))
-        vol = _ball_intersection_volume(density.dim, h, density.radius, sep)
-        return kernel.alpha * vol / density.volume
+    # For these densities the sampling window is the kernel's support ball
+    # itself, so c_n is alpha times the window mass.
+    if isinstance(density, UniformBall) or (isinstance(density, UniformCube)
+                                            and density.dim == 1):
+        return kernel.alpha * density.window_mass(x, kernel.support_radius)
     return None
 
 
@@ -125,7 +97,7 @@ def _window_integral(
     rel_tol: float = 1e-8,
 ) -> QuadResult:
     """Integral of k(x, z) p(z) [f(z)] dz over the kernel's support window."""
-    wr = kernel.window_radius
+    wr = kernel.support_radius
     box_lo, box_hi = x - wr, x + wr
     dens_lo, dens_hi = density.bounding_box()
     lo = np.maximum(box_lo, dens_lo)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -363,3 +364,33 @@ def test_verification_failure_exit_code(tmp_path):
     assert code == 1
     text = (tmp_path / "r.csv").read_text()
     assert ",fail" in text
+
+
+# sha256 of the outputs that still use the full n-point sampler; Monte Carlo
+# verify and sweep outputs use window draws instead.
+FULL_SAMPLER_SHA256 = {
+    ("selftest",): "7b503f2335027959c2e9f3ff8e8584138b1849dde4269d4ebbec0e78e33f5816",
+    ("figure", "--config", _cfg("figure_rgg.json"), "--kind", "rgg"):
+        "c0eebcb39acea0c4ed30a7253a28468cc4fc22238b0be57ce08f11e5d6c224fb",
+    ("figure", "--config", _cfg("figure_tradeoff.json"), "--kind", "tradeoff"):
+        "6142773ad956543427b6ce31239cd96a5872fd0d82cfc9c07bd11b4cb73cc984",
+}
+
+
+@pytest.mark.parametrize("argv", FULL_SAMPLER_SHA256, ids=["selftest", "rgg", "tradeoff"])
+def test_full_sampler_outputs_pinned(argv, tmp_path):
+    out = tmp_path / "out"
+    assert _run(*argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FULL_SAMPLER_SHA256[argv]
+
+
+def test_float_budget_is_usage_error(tmp_path, capsys):
+    payload = json.loads(open(_cfg("expectation.json")).read())
+    payload["n"] = 10**15
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(payload))
+    code = _run("verify", "--config", str(big), "--suite", "expectation",
+                "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "budget" in err

@@ -30,7 +30,6 @@ from gnwlab.model import (
     UniformBall,
     UniformCube,
 )
-from gnwlab.montecarlo import run_replications
 
 
 def _draw(cfg, x, rep):
@@ -185,10 +184,19 @@ def test_draws_request_only_the_rows_they_use(monkeypatch):
     _sampler(DENSITIES_2D["ball"], n=40).neighborhood([0.0, 0.0], 4)
     assert requested == [(rows, 40)]
 
-    requested.clear()
-    cfg = unit_interval_scenario(n=40)
-    run_replications(cfg, [0.5], rngmod.batch_rows(40, 1) + 3)
-    assert requested == [(rngmod.batch_rows(40, 1), 40), (3, 40)]
+
+@pytest.mark.parametrize("density", DENSITIES_2D.values(), ids=DENSITIES_2D.keys())
+def test_batches_above_the_float_budget_rejected(density):
+    # An unchecked request of this size exceeds the address space, so the
+    # test commits no memory even if the check were missing.
+    n = 10**15
+    kernel = KernelSpec(TriangleKernel(), alpha=1.0, h=0.5)
+    regression = LinearFunction(slope=(0.5, 1.5), intercept=0.1, bound=10.0)
+    with pytest.raises(ResourceBudgetError, match="budget"):
+        sample_neighborhood(density, kernel, regression, NoNoise(), n, [0.0, 0.0], 0, 1)
+    sampler = NeighborhoodSampler(density, kernel, regression, NoNoise(), n, 1)
+    with pytest.raises(ResourceBudgetError, match="budget"):
+        sampler.window_batch(sampler.window([0.0, 0.0]), 0, 0)
 
 
 def test_batch_stop_beyond_the_batch_rejected():

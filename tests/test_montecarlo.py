@@ -5,8 +5,8 @@ import pytest
 
 from conftest import IDENTITY, unit_interval_scenario
 from gnwlab.errors import InvalidInputError, ResourceBudgetError
-from gnwlab.estimators import gnw_predict
-from gnwlab.graph import sample_neighborhood
+from gnwlab.estimators import predict_rows
+from gnwlab.graph import NeighborhoodSampler
 from gnwlab.model import (
     BoundedUniformNoise,
     ConstantFunction,
@@ -46,20 +46,52 @@ def test_thread_count_invariance():
     assert np.array_equal(one.masses, two.masses)
 
 
-def test_driver_matches_single_draws_across_batch_boundaries():
-    # n = 20000 at d = 1 gives 13-row batches, so 5-replication query slices
-    # start and end inside batches and straddle their boundaries
-    cfg = unit_interval_scenario(n=20000, h=0.05, regression=IDENTITY,
+# (n, per_query, batch rows at xs[0]): at n = 20000, h = 0.05 a row holds
+# about 2000 window nodes and batches hold 10 rows (18 at x = 0.99); at n = 50
+# they start at 64 rows and double.  Either way the query slices span
+# several batches and end inside one.
+DRIVER_LAYOUTS = [(20000, 25, [10, 10, 10]), (50, 200, [64, 128, 256])]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n,per_query,rows", DRIVER_LAYOUTS, ids=["n20000", "n50"])
+def test_driver_matches_window_batches_across_batch_boundaries(n, per_query, rows, threads):
+    cfg = unit_interval_scenario(n=n, h=0.05, regression=IDENTITY,
                                  noise=BoundedUniformNoise(sigma_b=0.5))
     xs = np.array([[0.1], [0.35], [0.5], [0.72], [0.9], [0.99]])
-    batch = _map_replications(cfg, xs, 5, threads=2)
-    assert len(batch) == 30
-    for r in range(30):
-        nb = sample_neighborhood(cfg.density, cfg.kernel, cfg.regression, cfg.noise,
-                                 cfg.n, xs[r // 5], r, cfg.master_seed)
-        assert nb.seed_record.batch_index == r // 13
-        p = gnw_predict(nb)
-        assert batch.values[r] == p.value and batch.masses[r] == p.mass
+    batch = _map_replications(cfg, xs, per_query, threads=threads)
+    assert len(batch) == len(xs) * per_query
+    sampler = NeighborhoodSampler(cfg.density, cfg.kernel, cfg.regression, cfg.noise,
+                                  cfg.n, cfg.master_seed)
+    for q, x in enumerate(xs):
+        window = sampler.window(x)
+        layout = list(window.batches(per_query))
+        if q == 0:
+            assert [r for _, _, r in layout] == rows
+        assert len(layout) > 1 and sum(r for _, _, r in layout) > per_query
+        for b, lo, k in layout:
+            w = sampler.window_batch(window, q, b)
+            values, masses = predict_rows(w.labels, w.edges)
+            used = min(k, per_query - lo)
+            t = q * per_query + lo
+            assert np.array_equal(batch.values[t:t + used], values[:used])
+            assert np.array_equal(batch.masses[t:t + used], masses[:used])
+
+
+def test_query_predictions_do_not_depend_on_other_queries():
+    cfg = unit_interval_scenario(n=500, h=0.05, regression=IDENTITY,
+                                 noise=GaussianNoise(stddev=0.3))
+    xs = np.array([[0.2], [0.5], [0.8]])
+    base = _map_replications(cfg, xs, 40, threads=1)
+    moved = _map_replications(cfg, np.array([[0.2], [0.03], [0.8]]), 40, threads=2)
+    for q in (0, 2):
+        s = slice(q * 40, (q + 1) * 40)
+        assert np.array_equal(base.values[s], moved.values[s])
+        assert np.array_equal(base.masses[s], moved.masses[s])
+    assert not np.array_equal(base.values[40:80], moved.values[40:80])
+    # nor on how many replications are asked for
+    longer = _map_replications(cfg, xs[:1], 75, threads=2)
+    assert np.array_equal(longer.values[:40], base.values[:40])
 
 
 @pytest.mark.parametrize("threads", [0, -1])
