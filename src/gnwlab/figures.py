@@ -45,14 +45,14 @@ def rgg_svg(graph: FullGraph) -> str:
         pts = pts[:, :2]
     x = _scale(pts[:, 0], float(pts[:, 0].min()), float(pts[:, 0].max()))
     y = _SIZE - _scale(pts[:, 1], float(pts[:, 1].min()), float(pts[:, 1].max()))
-    body = []
-    for i, j in graph.edge_list():
-        body.append(
-            f'<line x1="{_fmt(x[i])}" y1="{_fmt(y[i])}" x2="{_fmt(x[j])}" y2="{_fmt(y[j])}" '
-            'stroke="#808080" stroke-width="0.5"/>'
-        )
-    for k in range(len(x)):
-        body.append(f'<circle cx="{_fmt(x[k])}" cy="{_fmt(y[k])}" r="2" fill="black"/>')
+    xs = [_fmt(v) for v in x]
+    ys = [_fmt(v) for v in y]
+    body = [
+        f'<line x1="{xs[i]}" y1="{ys[i]}" x2="{xs[j]}" y2="{ys[j]}" '
+        'stroke="#808080" stroke-width="0.5"/>'
+        for i, j in graph.edge_list()
+    ]
+    body.extend(f'<circle cx="{a}" cy="{b}" r="2" fill="black"/>' for a, b in zip(xs, ys))
     return _document(body)
 
 

@@ -30,12 +30,21 @@ whole batch and cut.
 
 Both kinds of batch refuse, with ``ResourceBudgetError``, to allocate float64
 arrays larger than ``FLOAT_BUDGET_BYTES``.
+
+Full graphs (``sample_full_graph``, the rgg figure).  Pair (i, j), i < j,
+takes the uniform at its row-major pair offset in one edge stream and gets
+an edge when U < k(X_i, X_j).  Only pairs within the kernel's support
+radius can fire; a k-d tree finds them, and the stream is read in
+fixed-size chunks up to the last of them.  A full graph therefore costs one
+O(n^2) pass over the uniform stream plus O(E) memory for its E edges; no
+n x n matrix is built.
 """
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import rng as rngmod
 from .errors import InvalidInputError, ResourceBudgetError
@@ -242,39 +251,61 @@ def sample_neighborhood(density: Density, kernel: KernelSpec, regression: Regres
 # Full graphs (figures only)
 # ---------------------------------------------------------------------------
 
+# Uniforms of the edge stream read per step of ``sample_full_graph``.
+_PAIR_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class FullGraph:
     points: np.ndarray  # (n, d)
-    adjacency: np.ndarray  # (n, n) uint8, symmetric, zero diagonal
+    edges: np.ndarray  # (E, 2) int, i < j in each row, rows in row-major pair order
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
 
     def edge_list(self) -> list[tuple[int, int]]:
-        i, j = np.nonzero(np.triu(self.adjacency, k=1))
+        i, j = self.edges.T
         return list(zip(i.tolist(), j.tolist()))
+
+
+def _pair_offsets(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Row-major index of each pair (i, j), i < j, among all n(n-1)/2 pairs."""
+    i, j = pairs[:, 0], pairs[:, 1]
+    return i * (n - 1) - i * (i - 1) // 2 + (j - i - 1)
 
 
 def sample_full_graph(density: Density, kernel: KernelSpec, n: int, seed: int,
                       max_pairs: int = 20_000_000) -> FullGraph:
-    """All-pairs Bernoulli graph over n latent points."""
+    """All-pairs Bernoulli graph over n latent points.
+
+    Pair (i, j), i < j, gets an edge when U < k(X_i, X_j), where U is the
+    uniform at its row-major pair offset in the EDGE stream.  Only the pairs
+    within the kernel's support radius, found by a k-d tree, can fire; the
+    stream is read in ``_PAIR_CHUNK`` steps up to the last of them, so every
+    edge is the one the dense all-pairs rule draws.
+    """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     pairs = n * (n - 1) // 2
     if pairs > max_pairs:
         raise ResourceBudgetError(f"{pairs} pairs exceeds the edge budget {max_pairs}")
     pts = density.sample(rngmod.stream(seed, rngmod.LATENT, 0), (n,))
+    # The slack keeps pairs whose distance the tree rounds past the radius.
+    near = cKDTree(pts).query_pairs(kernel.support_radius * (1 + 1e-9), output_type="ndarray")
+    offsets = _pair_offsets(near, n)
+    order = np.argsort(offsets)
+    near, offsets = near[order], offsets[order]
+    uniforms = np.empty(offsets.shape[0])
     gen = rngmod.stream(seed, rngmod.EDGE, 0)
-    adj = np.zeros((n, n), dtype=np.uint8)
-    for i in range(n - 1):
-        probs = kernel.edge_probabilities(pts[i], pts[i + 1:])
-        u = gen.random(n - 1 - i)
-        row = (u < probs).astype(np.uint8)
-        adj[i, i + 1:] = row
-        adj[i + 1:, i] = row
-    return FullGraph(points=pts, adjacency=adj)
+    stop = int(offsets[-1]) + 1 if offsets.size else 0
+    bounds = np.searchsorted(offsets, np.arange(0, stop + _PAIR_CHUNK, _PAIR_CHUNK))
+    for step, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        start = step * _PAIR_CHUNK
+        chunk = gen.random(min(_PAIR_CHUNK, stop - start))
+        uniforms[lo:hi] = chunk[offsets[lo:hi] - start]
+    fire = uniforms < kernel.edge_probabilities(pts[near[:, 0]], pts[near[:, 1]])
+    return FullGraph(points=pts, edges=near[fire])
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +326,23 @@ def r_subset(edges, indices) -> float:
         raise InvalidInputError(f"subset indices must lie in [0, {n})")
     if len(set(idx)) != len(idx):
         raise InvalidInputError("subset indices must be distinct")
-    denominator = _r_denominator(int(np.sum(edges)), edges, tuple(idx))
-    return 1.0 / denominator if denominator > 0 else 0.0
+    denominator = _r_denominator(int(np.sum(edges)), edges.astype(np.int64), tuple(idx))
+    return _r_value(denominator)
 
 
-def _r_denominator(total: int, edges, subset: tuple[int, ...]) -> int:
-    """Integer denominator of R_I; 0 encodes the empty-graph zero branch."""
+def _r_denominator(total, edges, subset: tuple[int, ...]):
+    """Integer denominator of R_I; 0 encodes the empty-graph zero branch.
+
+    ``edges`` may carry leading axes, one pattern per row, with ``total``
+    holding each pattern's edge count.
+    """
     if not subset:
         return total  # 0 -> R is 0 by convention
-    inside = sum(int(edges[i]) for i in subset)
-    return len(subset) + total - inside
+    return len(subset) + total - edges[..., list(subset)].sum(axis=-1)
+
+
+def _r_value(denominator) -> float:
+    return 1 / int(denominator) if denominator > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -316,54 +354,66 @@ class DecouplingReport:
     first_counterexample: tuple | None = None
 
 
+def _identity_checks(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(i, J) of one pattern's identity checks, in check order: J is empty,
+    then one disjoint singleton, then one disjoint pair, as n allows."""
+    checks = []
+    for i in range(n):
+        checks.append((i, ()))
+        if n >= 2:
+            checks.append((i, ((i + 1) % n,)))
+        if n >= 3:
+            checks.append((i, ((i + 1) % n, (i + 2) % n)))
+    return checks
+
+
 def decoupling_selftest(n: int) -> DecouplingReport:
     """Exhaustively verify the ratio-weight identities over all 2^n edge
     patterns.
 
     For every singleton I = {i} and J in {empty, one disjoint singleton, one
-    disjoint pair} it checks, in exact rational arithmetic,
+    disjoint pair} it checks, in exact arithmetic,
 
         R_J * prod_{i in I} a_i  ==  R_{I union J} * prod_{i in I} a_i,
 
     and per pattern the telescoping identity  sum_i a_i R_{i} == [any edge].
+    All patterns are checked at once on integer denominators: for positive
+    a and b, 1/a == 1/b exactly when a == b, and the telescoping sum is
+    compared as sum_i L/den_i == L [any edge], with L the least common
+    multiple of the denominators.  A failure reports the first failing
+    check in (pattern, i, J) order, the telescoping check last in each
+    pattern.
     """
     if not (1 <= n <= 16):
         raise ResourceBudgetError("decoupling selftest supports 1 <= n <= 16")
-    patterns = 0
-    checks = 0
-    for mask in range(1 << n):
-        edges = [(mask >> i) & 1 for i in range(n)]
-        total = sum(edges)
-        patterns += 1
-        for i in range(n):
-            js: list[tuple[int, ...]] = [()]
-            if n >= 2:
-                js.append(((i + 1) % n,))
-            if n >= 3:
-                js.append(((i + 1) % n, (i + 2) % n))
-            for j_set in js:
-                checks += 1
-                if edges[i] == 0:
-                    continue  # both sides vanish with the a-product
-                lhs = _r_denominator(total, edges, j_set)
-                rhs = _r_denominator(total, edges, tuple(sorted((i, *j_set))))
-                lhs_val = Fraction(1, lhs) if lhs > 0 else Fraction(0)
-                rhs_val = Fraction(1, rhs) if rhs > 0 else Fraction(0)
-                if lhs_val != rhs_val:
-                    return DecouplingReport(
-                        n, patterns, checks, False,
-                        (tuple(edges), (i,), j_set, float(lhs_val), float(rhs_val)),
-                    )
-        checks += 1
-        acc = Fraction(0)
-        for i in range(n):
-            if edges[i]:
-                acc += Fraction(1, _r_denominator(total, edges, (i,)))
-        if acc != Fraction(int(total > 0)):
-            return DecouplingReport(
-                n, patterns, checks, False, (tuple(edges), "sum", float(acc)),
-            )
-    return DecouplingReport(n, patterns, checks, True)
+    edges = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    total = edges.sum(axis=1)
+    checks = _identity_checks(n)
+    fails = np.empty((edges.shape[0], len(checks) + 1), dtype=bool)
+    for k, (i, j_set) in enumerate(checks):
+        lhs = _r_denominator(total, edges, j_set)
+        rhs = _r_denominator(total, edges, tuple(sorted((i, *j_set))))
+        # both sides vanish with the a-product when a_i = 0
+        fails[:, k] = (edges[:, i] != 0) & (lhs != rhs)
+    den = np.column_stack([_r_denominator(total, edges, (i,)) for i in range(n)])
+    used = (edges != 0) & (den > 0)
+    lcm = math.lcm(*np.unique(den[used]).tolist())
+    dtype = np.int64 if lcm * n < 1 << 63 else object
+    shares = np.where(used, lcm // np.where(used, den, 1).astype(dtype), 0).sum(axis=1)
+    fails[:, -1] = shares != lcm * (total > 0).astype(dtype)
+    if not fails.any():
+        return DecouplingReport(n, fails.shape[0], fails.size, True)
+    first = int(np.argmax(fails.ravel()))
+    p, k = divmod(first, fails.shape[1])
+    pattern = tuple(edges[p].tolist())
+    if k == len(checks):
+        example = (pattern, "sum", int(shares[p]) / lcm)
+    else:
+        i, j_set = checks[k]
+        lhs = _r_denominator(total[p], edges[p], j_set)
+        rhs = _r_denominator(total[p], edges[p], tuple(sorted((i, *j_set))))
+        example = (pattern, (i,), j_set, _r_value(lhs), _r_value(rhs))
+    return DecouplingReport(n, p + 1, first + 1, False, example)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +424,7 @@ def decoupling_selftest(n: int) -> DecouplingReport:
 def export_edges_csv(graph: FullGraph, path) -> None:
     """Undirected edge list: header src,dst with 0-based ids and i < j."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("src,dst\n")
-        for i, j in graph.edge_list():
-            fh.write(f"{i},{j}\n")
+        fh.write("src,dst\n" + "".join(f"{i},{j}\n" for i, j in graph.edges.tolist()))
 
 
 def export_points_csv(points: np.ndarray, path) -> None:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import QuadratureError
 
@@ -338,6 +337,8 @@ def integrate_box(
 
 
 def _halton_box(f, lo: np.ndarray, hi: np.ndarray, n_points: int = 1 << 16) -> QuadResult:
+    from scipy.stats import qmc  # costs about 0.3 s to import; only d > 3 needs it
+
     d = lo.shape[0]
     sampler = qmc.Halton(d=d, scramble=False)
     u = sampler.random(n_points)

@@ -219,6 +219,18 @@ def test_module_entry_point(tmp_path):
     assert missing.stderr.startswith("error:")
 
 
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about 0.3 s to import; only d > 3 quadrature needs it.
+    src = str(Path(gnwlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, gnwlab.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_expectation_suite_integrates_twice_per_point(monkeypatch):
     # c_n and T once each per query point, 2-D ball, triangle kernel
     points = ((0.1, 0.2), (-0.5, 0.3))
@@ -318,8 +330,8 @@ def test_figure_rgg_edge_count_matches_mean_degree():
     for seed in range(5):
         g = sample_full_graph(dens, kernel, n, seed=seed)
         svg = figmod.rgg_svg(g)
-        assert svg.count("<line") == int(g.adjacency.sum()) // 2
-        counts.append(int(g.adjacency.sum()) // 2)
+        assert svg.count("<line") == len(g.edges)
+        counts.append(len(g.edges))
     expected = n * math.log(n) / 2.0
     assert abs(np.mean(counts) - expected) <= 0.2 * expected
 
@@ -394,3 +406,16 @@ def test_float_budget_is_usage_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "budget" in err
+
+
+def test_rgg_pair_budget_is_usage_error(tmp_path, capsys):
+    payload = json.loads(open(_cfg("figure_rgg.json")).read())
+    payload["n"] = 100_000  # 4,999,950,000 pairs, above the 20,000,000 budget
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(payload))
+    code = _run("figure", "--config", str(big), "--kind", "rgg", "--out", str(tmp_path / "g.svg"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "4999950000 pairs" in err and "budget 20000000" in err
+    assert not (tmp_path / "g.svg").exists()

@@ -1,12 +1,16 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import unit_interval_scenario
+from gnwlab import graph
 from gnwlab import rng as rngmod
 from gnwlab.errors import InvalidInputError, ResourceBudgetError
 from gnwlab.graph import (
+    DecouplingReport,
     NeighborhoodSampler,
     decoupling_selftest,
     export_edges_csv,
@@ -20,6 +24,7 @@ from gnwlab.model import (
     ConstantFunction,
     GaussianDensity,
     GaussianNoise,
+    HalfPlateauKernel,
     IndicatorKernel,
     KernelSpec,
     LinearFunction,
@@ -213,22 +218,23 @@ def test_batch_stop_beyond_the_batch_rejected():
 def test_full_graph_single_node():
     g = sample_full_graph(UniformCube(lo=(0.0,), hi=(1.0,)),
                           KernelSpec(IndicatorKernel(), alpha=1.0, h=0.5), 1, seed=0)
-    assert g.adjacency.shape == (1, 1)
-    assert g.adjacency[0, 0] == 0
+    assert g.edges.shape == (0, 2)
+    assert g.edge_list() == []
 
 
 def test_full_graph_complete_when_window_covers_support():
     g = sample_full_graph(UniformCube(lo=(0.0,), hi=(1.0,)),
                           KernelSpec(IndicatorKernel(), alpha=1.0, h=1.0), 5, seed=0)
-    expected = np.ones((5, 5), dtype=np.uint8) - np.eye(5, dtype=np.uint8)
-    assert np.array_equal(g.adjacency, expected)
+    assert np.array_equal(g.edges, list(itertools.combinations(range(5), 2)))
 
 
 def test_full_graph_symmetric_zero_diagonal():
     g = sample_full_graph(UniformCube(lo=(0.0, 0.0), hi=(1.0, 1.0)),
                           KernelSpec(IndicatorKernel(), alpha=1.0, h=0.2), 60, seed=3)
-    assert np.array_equal(g.adjacency, g.adjacency.T)
-    assert np.all(np.diag(g.adjacency) == 0)
+    # Each undirected edge appears once, as i < j, with no self-loops.
+    assert len(g.edges) > 0
+    assert np.all(g.edges[:, 0] < g.edges[:, 1])
+    assert len(set(g.edge_list())) == len(g.edges)
 
 
 def test_full_graph_edge_budget():
@@ -236,6 +242,82 @@ def test_full_graph_edge_budget():
         sample_full_graph(UniformCube(lo=(0.0,), hi=(1.0,)),
                           KernelSpec(IndicatorKernel(), alpha=1.0, h=0.1),
                           100, seed=0, max_pairs=10)
+
+
+def _dense_full_graph(density, kernel, n, seed):
+    """Reference sampler: every pair's edge rule, row by row, over the dense
+    uniform stream (the all-pairs loop ``sample_full_graph`` replaced)."""
+    pts = density.sample(rngmod.stream(seed, rngmod.LATENT, 0), (n,))
+    gen = rngmod.stream(seed, rngmod.EDGE, 0)
+    rows = [np.empty((0, 2), dtype=np.intp)]
+    for i in range(n - 1):
+        probs = kernel.edge_probabilities(pts[i], pts[i + 1:])
+        j = np.flatnonzero(gen.random(n - 1 - i) < probs) + i + 1
+        rows.append(np.column_stack([np.full(j.shape, i), j]))
+    return pts, np.concatenate(rows)
+
+
+def _density(kind, d):
+    zeros = (0.0,) * d
+    return {
+        "cube": UniformCube(lo=zeros, hi=(1.0,) * d),
+        "ball": UniformBall(center=zeros, radius=1.0),
+        "gaussian": GaussianDensity(mean=zeros, stddev=0.5),
+        "mixture": MixtureDensity(components=(
+            (0.3, UniformBall(center=zeros, radius=1.0)),
+            (0.7, GaussianDensity(mean=(0.5,) + zeros[1:], stddev=0.2)),
+        )),
+    }[kind]
+
+
+FULL_GRAPH_KERNELS = (IndicatorKernel(), TriangleKernel(), HalfPlateauKernel())
+# (n, h): no pair within reach, some pairs, every pair a candidate.
+FULL_GRAPH_CASES = ((1, 0.3), (2, 0.3), (37, 1e-9), (37, 0.3), (37, 100.0), (500, 0.3))
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("kind", ("cube", "ball", "gaussian", "mixture"))
+def test_full_graph_matches_dense_reference(kind, d, monkeypatch):
+    density = _density(kind, d)
+    seen = set()
+    for base, alpha, (n, h) in itertools.product(FULL_GRAPH_KERNELS, (1.0, 0.5),
+                                                 FULL_GRAPH_CASES):
+        kernel = KernelSpec(base, alpha=alpha, h=h)
+        pts, edges = _dense_full_graph(density, kernel, n, seed=n + d)
+        if n > 1:
+            complete = len(edges) == n * (n - 1) // 2
+            seen.add("complete" if complete else "partial" if len(edges) else "empty")
+        for chunk in (1, 7, graph._PAIR_CHUNK) if n < 100 else (7, graph._PAIR_CHUNK):
+            with monkeypatch.context() as m:
+                m.setattr(graph, "_PAIR_CHUNK", chunk)
+                g = sample_full_graph(density, kernel, n, seed=n + d)
+            assert np.array_equal(g.points, pts)
+            assert g.edges.shape == edges.shape and np.array_equal(g.edges, edges)
+    assert seen == {"empty", "partial", "complete"}
+
+
+def test_full_graph_matches_dense_reference_across_default_chunks():
+    density = UniformCube(lo=(0.0, 0.0), hi=(1.0, 1.0))
+    kernel = KernelSpec(TriangleKernel(), alpha=0.5, h=0.02)
+    n = 1500  # 1,124,250 pairs: the stream is read in two default chunks
+    assert n * (n - 1) // 2 > graph._PAIR_CHUNK
+    pts, edges = _dense_full_graph(density, kernel, n, seed=4)
+    g = sample_full_graph(density, kernel, n, seed=4)
+    assert np.array_equal(g.points, pts) and np.array_equal(g.edges, edges)
+    assert graph._pair_offsets(edges, n)[-1] > graph._PAIR_CHUNK
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_full_graph_keeps_pairs_at_the_support_radius(d):
+    # With h equal to the distance of pair (0, 1), k = alpha exactly, so
+    # the indicator kernel connects the pair whatever the tree's rounding.
+    density = UniformCube(lo=(0.0,) * d, hi=(1.0,) * d)
+    for seed in range(20):
+        pts = density.sample(rngmod.stream(seed, rngmod.LATENT, 0), (30,))
+        h = float(np.sqrt(np.sum((pts[1] - pts[0]) ** 2)))
+        g = sample_full_graph(density, KernelSpec(IndicatorKernel(), alpha=1.0, h=h),
+                              30, seed=seed)
+        assert (0, 1) in g.edge_list()
 
 
 def _mean_pair_connection(h: float, seed: int = 12345, pairs: int = 1_000_000) -> float:
@@ -264,7 +346,7 @@ def test_full_graph_mean_degree_log_n():
     degrees = []
     for seed in range(20):
         g = sample_full_graph(dens, kernel, n, seed=seed)
-        degrees.append(float(g.adjacency.sum()) / n)
+        degrees.append(2.0 * len(g.edges) / n)
     assert abs(np.mean(degrees) - math.log(n)) <= 0.15 * math.log(n)
 
 
@@ -317,6 +399,86 @@ def test_decoupling_selftest_small():
     assert rep.patterns_checked == 4096
 
 
+def _fraction_selftest(n):
+    """Reference selftest: the per-pattern loop in exact rationals that
+    ``decoupling_selftest`` replaced, reading denominators the same way."""
+    patterns = 0
+    checks = 0
+    for mask in range(1 << n):
+        edges = np.array([(mask >> i) & 1 for i in range(n)])
+        total = int(edges.sum())
+        patterns += 1
+        for i in range(n):
+            js = [()]
+            if n >= 2:
+                js.append(((i + 1) % n,))
+            if n >= 3:
+                js.append(((i + 1) % n, (i + 2) % n))
+            for j_set in js:
+                checks += 1
+                if edges[i] == 0:
+                    continue
+                lhs = graph._r_denominator(total, edges, j_set)
+                rhs = graph._r_denominator(total, edges, tuple(sorted((i, *j_set))))
+                lhs_val = Fraction(1, int(lhs)) if lhs > 0 else Fraction(0)
+                rhs_val = Fraction(1, int(rhs)) if rhs > 0 else Fraction(0)
+                if lhs_val != rhs_val:
+                    return DecouplingReport(
+                        n, patterns, checks, False,
+                        (tuple(edges.tolist()), (i,), j_set, float(lhs_val), float(rhs_val)),
+                    )
+        checks += 1
+        acc = Fraction(0)
+        for i in range(n):
+            if edges[i]:
+                acc += Fraction(1, int(graph._r_denominator(total, edges, (i,))))
+        if acc != Fraction(int(total > 0)):
+            return DecouplingReport(
+                n, patterns, checks, False, (tuple(edges.tolist()), "sum", float(acc)),
+            )
+    return DecouplingReport(n, patterns, checks, True)
+
+
+def test_decoupling_selftest_matches_fraction_reference():
+    for n in range(1, 13):
+        assert decoupling_selftest(n) == _fraction_selftest(n)
+
+
+def test_decoupling_selftest_at_the_budget():
+    rep = decoupling_selftest(16)
+    assert rep.passed and rep.first_counterexample is None
+    assert rep.patterns_checked == 1 << 16
+    assert rep.identity_checks == (1 << 16) * (16 * 3 + 1)
+
+
+WRONG_DENOMINATORS = {
+    # every R of a three-edge pattern shifted alike: the identities hold,
+    # the telescoping sum fails at the first such pattern
+    "three_edge_patterns": lambda total, subset: total == 3,
+    # pairs only: R_J differs from R_{i} u J for |J| = 2
+    "pairs_plus_one": lambda total, subset: int(len(subset) == 2),
+    # singletons of three-edge patterns only: R_{} differs from R_{i}
+    "three_edge_singletons": lambda total, subset: (total == 3) * (len(subset) == 1),
+    # the identities hold with denominators above n, and the sum fails
+    "plus_total_squared": lambda total, subset: total * total,
+    # the same with a least common multiple beyond 64-bit integers
+    "plus_huge_multiple": lambda total, subset: total << 55,
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_DENOMINATORS.values(), ids=WRONG_DENOMINATORS.keys())
+def test_decoupling_selftest_finds_the_reference_counterexample(wrong, monkeypatch):
+    right = graph._r_denominator
+    monkeypatch.setattr(graph, "_r_denominator",
+                        lambda total, edges, subset: right(total, edges, subset)
+                        + wrong(total, subset))
+    for n in range(1, 9):
+        rep = decoupling_selftest(n)
+        assert rep == _fraction_selftest(n)
+        if n >= 4:
+            assert not rep.passed
+
+
 def test_decoupling_selftest_budget():
     with pytest.raises(ResourceBudgetError):
         decoupling_selftest(17)
@@ -341,12 +503,13 @@ def test_export_schemas(tmp_path):
     export_edges_csv(g, epath)
     export_points_csv(g.points, ppath)
     elines = epath.read_text().splitlines()
+    edges = set(g.edge_list())
     assert elines[0] == "src,dst"
     for line in elines[1:]:
         i, j = map(int, line.split(","))
         assert 0 <= i < j < 20
-        assert g.adjacency[i, j] == 1
-    assert len(elines) - 1 == int(g.adjacency.sum()) // 2
+        assert (i, j) in edges
+    assert len(elines) - 1 == len(g.edges)
     plines = ppath.read_text().splitlines()
     assert plines[0] == "node,x0,x1"
     assert len(plines) == 21
