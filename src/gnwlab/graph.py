@@ -34,10 +34,11 @@ arrays larger than ``FLOAT_BUDGET_BYTES``.
 Full graphs (``sample_full_graph``, the rgg figure).  Pair (i, j), i < j,
 takes the uniform at its row-major pair offset in one edge stream and gets
 an edge when U < k(X_i, X_j).  Only pairs within the kernel's support
-radius can fire; a k-d tree finds them, and the stream is read in
-fixed-size chunks up to the last of them.  A full graph therefore costs one
-O(n^2) pass over the uniform stream plus O(E) memory for its E edges; no
-n x n matrix is built.
+radius can fire; a k-d tree finds these E candidates, and the counter-based
+stream (``rng.uniforms_at``) gives each its uniform directly.  A full graph
+therefore costs a k-d tree query plus O(E) Philox evaluations and O(E)
+memory; neither an n x n matrix nor the n(n-1)/2 uniforms of all pairs are
+generated.
 """
 
 import math
@@ -52,6 +53,7 @@ from .model import Density, KernelSpec, Noise, Regression, as_point
 
 __all__ = [
     "FLOAT_BUDGET_BYTES",
+    "check_float_budget",
     "QueryNeighborhood",
     "QueryWindow",
     "WindowBatch",
@@ -72,12 +74,13 @@ __all__ = [
 FLOAT_BUDGET_BYTES = 1 << 30
 
 
-def _check_budget(floats: int, rows: int, nodes: int):
-    """Refuse a batch of ``rows`` rows and ``nodes`` nodes needing ``floats`` float64s."""
+def check_float_budget(floats: int, subject: str, *args) -> None:
+    """Refuse float64 arrays of ``floats`` elements in all, for what
+    ``subject % args`` names, above ``FLOAT_BUDGET_BYTES``."""
     if floats * 8 > FLOAT_BUDGET_BYTES:
         raise ResourceBudgetError(
-            f"a batch of {rows} rows and {nodes} nodes needs {floats * 8} bytes of "
-            f"float64 arrays, above the budget of {FLOAT_BUDGET_BYTES} bytes")
+            f"{subject % args} needs {floats * 8} bytes of float64 arrays, "
+            f"above the budget of {FLOAT_BUDGET_BYTES} bytes")
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,8 @@ class NeighborhoodSampler:
                  noise: Noise, n: int, master_seed: int):
         if n < 1:
             raise InvalidInputError(f"n must be >= 1, got {n}")
+        if n >= 2**63:  # numpy's binomial draw takes a C long
+            raise InvalidInputError(f"n must be below 2**63 to be sampled, got {n}")
         self.density = density
         self.kernel = kernel
         self.regression = regression
@@ -171,8 +176,8 @@ class NeighborhoodSampler:
         if not 0 <= stop <= self.rows:
             raise InvalidInputError(f"stop must lie in [0, {self.rows}], got {stop}")
         latent_rows = stop if self.density.prefix_stable else self.rows
-        _check_budget(latent_rows * self.n * self.density.dim + 3 * stop * self.n,
-                      stop, stop * self.n)
+        check_float_budget(latent_rows * self.n * self.density.dim + 3 * stop * self.n,
+                           "a batch of %d rows and %d nodes", stop, stop * self.n)
         shape = (stop, self.n)
         latent = rngmod.stream(self.master_seed, rngmod.LATENT, batch_index)
         if self.density.prefix_stable:
@@ -204,7 +209,8 @@ class NeighborhoodSampler:
         gen = rngmod.stream(self.master_seed, rngmod.WINDOW, query_index, batch_index)
         counts = gen.binomial(self.n, window.mass, size=rows)
         total, m = int(counts.sum()), int(counts.max())
-        _check_budget(total * (d + 3) + 2 * rows * m, rows, total)
+        check_float_budget(total * (d + 3) + 2 * rows * m,
+                           "a batch of %d rows and %d nodes", rows, total)
         points = self.density.window_sample(gen, window.x, self.kernel.support_radius, total)
         unif = gen.random(total)
         labels = self.regression.evaluate(points) + self.noise.sample(gen, (total,))
@@ -251,8 +257,9 @@ def sample_neighborhood(density: Density, kernel: KernelSpec, regression: Regres
 # Full graphs (figures only)
 # ---------------------------------------------------------------------------
 
-# Uniforms of the edge stream read per step of ``sample_full_graph``.
-_PAIR_CHUNK = 1 << 20
+# Candidate pairs whose uniforms and edge rule ``sample_full_graph``
+# evaluates per step, which bounds its temporaries.
+_PAIR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -281,30 +288,27 @@ def sample_full_graph(density: Density, kernel: KernelSpec, n: int, seed: int,
 
     Pair (i, j), i < j, gets an edge when U < k(X_i, X_j), where U is the
     uniform at its row-major pair offset in the EDGE stream.  Only the pairs
-    within the kernel's support radius, found by a k-d tree, can fire; the
-    stream is read in ``_PAIR_CHUNK`` steps up to the last of them, so every
-    edge is the one the dense all-pairs rule draws.
+    within the kernel's support radius, found by a k-d tree, can fire; their
+    uniforms are computed directly from the counter-based stream, in
+    ``_PAIR_CHUNK`` steps, so every edge is the one the dense all-pairs rule
+    draws at O(E) instead of O(n^2) cost.  ``max_pairs`` bounds n(n-1)/2.
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     pairs = n * (n - 1) // 2
     if pairs > max_pairs:
-        raise ResourceBudgetError(f"{pairs} pairs exceeds the edge budget {max_pairs}")
+        raise ResourceBudgetError(f"{pairs} pairs exceeds the pair budget {max_pairs}")
     pts = density.sample(rngmod.stream(seed, rngmod.LATENT, 0), (n,))
     # The slack keeps pairs whose distance the tree rounds past the radius.
     near = cKDTree(pts).query_pairs(kernel.support_radius * (1 + 1e-9), output_type="ndarray")
     offsets = _pair_offsets(near, n)
     order = np.argsort(offsets)
     near, offsets = near[order], offsets[order]
-    uniforms = np.empty(offsets.shape[0])
-    gen = rngmod.stream(seed, rngmod.EDGE, 0)
-    stop = int(offsets[-1]) + 1 if offsets.size else 0
-    bounds = np.searchsorted(offsets, np.arange(0, stop + _PAIR_CHUNK, _PAIR_CHUNK))
-    for step, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        start = step * _PAIR_CHUNK
-        chunk = gen.random(min(_PAIR_CHUNK, stop - start))
-        uniforms[lo:hi] = chunk[offsets[lo:hi] - start]
-    fire = uniforms < kernel.edge_probabilities(pts[near[:, 0]], pts[near[:, 1]])
+    fire = np.empty(offsets.shape[0], dtype=bool)
+    for lo in range(0, offsets.shape[0], _PAIR_CHUNK):
+        i, j = near[lo:lo + _PAIR_CHUNK].T
+        uniforms = rngmod.uniforms_at(offsets[lo:lo + _PAIR_CHUNK], seed, rngmod.EDGE, 0)
+        fire[lo:lo + _PAIR_CHUNK] = uniforms < kernel.edge_probabilities(pts[i], pts[j])
     return FullGraph(points=pts, edges=near[fire])
 
 

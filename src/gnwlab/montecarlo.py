@@ -20,7 +20,7 @@ import numpy as np
 from . import rng as rngmod
 from .errors import InvalidInputError, ResourceBudgetError
 from .estimators import Prediction, predict_rows
-from .graph import NeighborhoodSampler
+from .graph import NeighborhoodSampler, check_float_budget
 from .model import KernelSpec, as_point
 from .stats import Z99, wilson_halfwidth, wilson_interval
 from .theory import smoothed_value
@@ -116,7 +116,9 @@ def _map_replications(config, xs: np.ndarray, per_query: int,
         config.density, config.kernel, config.regression, config.noise,
         config.n, config.master_seed,
     )
-    values = np.empty(len(xs) * per_query, dtype=np.float64)
+    count = len(xs) * per_query
+    check_float_budget(2 * count, "a run of %d replications", count)
+    values = np.empty(count, dtype=np.float64)
     masses = np.empty_like(values)
     jobs = []
     for q, x in enumerate(xs):
@@ -242,6 +244,8 @@ def estimate_integrated_risk(config, R_outer: int, R_inner: int,
     if seed is not None and seed != config.master_seed:
         config = replace(config, master_seed=int(seed))
     master = config.master_seed
+    check_float_budget(R_outer * (config.dimension + 1), "an outer draw of %d query points",
+                       R_outer)
     xs = config.density.sample(rngmod.stream(master, rngmod.QUERY, 0), (R_outer,))
     fxs = config.regression.evaluate(xs)
 

@@ -419,3 +419,55 @@ def test_rgg_pair_budget_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "4999950000 pairs" in err and "budget 20000000" in err
     assert not (tmp_path / "g.svg").exists()
+
+
+def _with(config: str, tmp_path, **edits) -> str:
+    """Path of a copy of a shipped config with top-level keys replaced."""
+    payload = json.loads(open(_cfg(config)).read())
+    payload.update(edits)
+    path = tmp_path / f"edited_{config}"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _one_line_error(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert all(needle in err for needle in needles), err
+
+
+def test_n_beyond_a_c_long_is_usage_error(tmp_path, capsys):
+    # numpy's binomial draw takes n as a C long; 2**63 - 1 still reaches
+    # the float budget instead.
+    out = str(tmp_path / "r.csv")
+    huge = _with("expectation.json", tmp_path, n=2**63)
+    assert _run("verify", "--config", huge, "--suite", "expectation", "--out", out) == 2
+    _one_line_error(capsys, "2**63", str(2**63))
+    assert _run("sweep", "--config", _cfg("sweep.json"), "--parameter", "n",
+                "--values", "1e20", "--out", out) == 2
+    _one_line_error(capsys, "2**63", str(10**20))
+    below = _with("expectation.json", tmp_path, n=2**63 - 1)
+    assert _run("verify", "--config", below, "--suite", "expectation", "--out", out) == 2
+    _one_line_error(capsys, "budget")
+    # suites that sample nothing still run at any n
+    theory_only = _with("degree_ratio.json", tmp_path, n=10**20)
+    assert _run("verify", "--config", theory_only, "--suite", "degree_ratio", "--out", out) == 0
+
+
+@pytest.mark.parametrize("replications", ("1000000000000", "100000000000000000000"))
+def test_replications_above_the_float_budget_are_usage_error(replications, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert _run("verify", "--config", _cfg("expectation.json"), "--suite", "expectation",
+                "--replications", replications, "--out", str(out)) == 2
+    _one_line_error(capsys, f"{replications} replications", "budget")
+    assert not out.exists()
+
+
+def test_integrated_outer_draw_above_the_float_budget_is_usage_error(tmp_path, capsys):
+    payload = json.loads(open(_cfg("risk_integrated.json")).read())
+    payload["query"]["integrated"]["outer"] = 10**12
+    path = tmp_path / "outer.json"
+    path.write_text(json.dumps(payload))
+    assert _run("verify", "--config", str(path), "--suite", "risk",
+                "--out", str(tmp_path / "r.csv")) == 2
+    _one_line_error(capsys, f"{10**12} query points", "budget")

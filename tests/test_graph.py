@@ -299,7 +299,7 @@ def test_full_graph_matches_dense_reference(kind, d, monkeypatch):
 def test_full_graph_matches_dense_reference_across_default_chunks():
     density = UniformCube(lo=(0.0, 0.0), hi=(1.0, 1.0))
     kernel = KernelSpec(TriangleKernel(), alpha=0.5, h=0.02)
-    n = 1500  # 1,124,250 pairs: the stream is read in two default chunks
+    n = 1500  # 1,124,250 pairs: candidates reach past offset _PAIR_CHUNK of the stream
     assert n * (n - 1) // 2 > graph._PAIR_CHUNK
     pts, edges = _dense_full_graph(density, kernel, n, seed=4)
     g = sample_full_graph(density, kernel, n, seed=4)
@@ -318,6 +318,47 @@ def test_full_graph_keeps_pairs_at_the_support_radius(d):
         g = sample_full_graph(density, KernelSpec(IndicatorKernel(), alpha=1.0, h=h),
                               30, seed=seed)
         assert (0, 1) in g.edge_list()
+
+
+def test_full_graph_matches_dense_reference_across_default_candidate_chunks():
+    density = UniformCube(lo=(0.0,), hi=(1.0,))
+    kernel = KernelSpec(TriangleKernel(), alpha=0.5, h=0.05)
+    n = 1500  # about 1.1e5 candidate pairs: two default chunks
+    pts, edges = _dense_full_graph(density, kernel, n, seed=6)
+    g = sample_full_graph(density, kernel, n, seed=6)
+    assert np.array_equal(g.points, pts) and np.array_equal(g.edges, edges)
+    near = np.sum(np.abs(pts[:, None, 0] - pts[None, :, 0]) <= kernel.support_radius)
+    assert (near - n) // 2 > graph._PAIR_CHUNK
+
+
+def test_full_graph_edge_rule_is_strict_at_a_tie():
+    # An indicator kernel has k = alpha on its support, so with alpha set to
+    # the uniform a pair reads, U < k fails by a tie; one ulp more connects.
+    density = UniformCube(lo=(0.0, 0.0), hi=(1.0, 1.0))
+    n = 6
+    for seed in range(5):
+        pair = np.array([[seed % 3, 3 + seed % 3]])
+        u = float(rngmod.uniforms_at(graph._pair_offsets(pair, n), seed, rngmod.EDGE, 0)[0])
+        for alpha, connected in ((u, False), (np.nextafter(u, 1.0), True)):
+            g = sample_full_graph(density, KernelSpec(IndicatorKernel(), alpha=alpha, h=100.0),
+                                  n, seed=seed)
+            assert (tuple(pair[0].tolist()) in g.edge_list()) is connected
+
+
+def test_neighborhood_edge_rule_is_strict_at_a_tie():
+    density = UniformCube(lo=(0.0,), hi=(1.0,))
+    x, n = [0.5], 8
+    for seed in range(5):
+        sampler = NeighborhoodSampler(density, KernelSpec(IndicatorKernel(), alpha=1.0, h=100.0),
+                                      ConstantFunction(1.0), NoNoise(), n, seed)
+        _, unif, _ = sampler.batch(0, stop=1)
+        node = seed % n
+        u = float(unif[0, node])
+        for alpha, connected in ((u, 0), (np.nextafter(u, 1.0), 1)):
+            kernel = KernelSpec(IndicatorKernel(), alpha=alpha, h=100.0)
+            nb = sample_neighborhood(density, kernel, ConstantFunction(1.0), NoNoise(), n, x,
+                                     0, seed)
+            assert nb.edges[node] == connected
 
 
 def _mean_pair_connection(h: float, seed: int = 12345, pairs: int = 1_000_000) -> float:
