@@ -34,18 +34,19 @@ arrays larger than ``FLOAT_BUDGET_BYTES``.
 Full graphs (``sample_full_graph``, the rgg figure).  Pair (i, j), i < j,
 takes the uniform at its row-major pair offset in one edge stream and gets
 an edge when U < k(X_i, X_j).  Only pairs within the kernel's support
-radius can fire; a k-d tree finds these E candidates, and the counter-based
-stream (``rng.uniforms_at``) gives each its uniform directly.  A full graph
-therefore costs a k-d tree query plus O(E) Philox evaluations and O(E)
-memory; neither an n x n matrix nor the n(n-1)/2 uniforms of all pairs are
+radius can fire; a cell list finds these E candidates, and the
+counter-based stream (``rng.uniforms_at``) gives each its uniform directly.
+A full graph therefore costs a sort of the n points by cell, a distance
+check on the pairs of neighbouring cells, and O(E) Philox evaluations;
+neither an n x n matrix nor the n(n-1)/2 uniforms of all pairs are
 generated.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import rng as rngmod
 from .errors import InvalidInputError, ResourceBudgetError
@@ -282,28 +283,114 @@ def _pair_offsets(pairs: np.ndarray, n: int) -> np.ndarray:
     return i * (n - 1) - i * (i - 1) // 2 + (j - i - 1)
 
 
+# Cell keys stay below this bound, so a key plus or minus a row stride fits int64.
+_KEY_SPACE = 1 << 62
+# Axes the cells cut; each one more would triple the slices a point reads.
+_GRID_AXES = 3
+
+
+def _key_space(cells: np.ndarray) -> int:
+    """Row-major cell keys that (k, n) cell coordinates need, padding included."""
+    return math.prod(int(m) + 3 for m in cells.max(axis=1))
+
+
+def _near_pairs(pts: np.ndarray, radius: float, max_pairs: int) -> np.ndarray:
+    """Every pair (i, j), i < j, of rows of ``pts`` (n, d) whose squared
+    distance, summed over the axes in order, is at most radius^2; an (E, 2)
+    int64 array in row-major pair order.
+
+    A cell list: the first k = min(d, 3) axes are cut into cubic cells of
+    side at least ``radius``, so a pair within reach lies in the same or
+    adjacent cells, and the points are sorted row-major by cell.  The three
+    adjacent cells along axis k - 1 then hold one contiguous slice of the
+    sorted points, so each point meets its candidates in 1 + (3^(k-1) - 1)/2
+    slices (1, 2 or 5): its own row's slice after itself and the slices of
+    the rows that follow it.  Every candidate pair is therefore visited
+    once, and refused with ``ResourceBudgetError``, before any pair array is
+    built, when there are more than ``max_pairs``.  Only occupied cells are
+    kept, so memory is O(n + candidates) however far apart the points lie.
+    """
+    n, d = pts.shape
+    if n < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    cols = np.ascontiguousarray(pts.T)
+    grid = cols[:_GRID_AXES]
+    lo = grid.min(axis=1, keepdims=True)
+    # (p - lo) / side is off by at most about 2^-52 span / side, so this side
+    # keeps the cells of any pair within reach at most one apart.
+    side = radius + float((grid.max(axis=1, keepdims=True) - lo).max()) * 2.0**-50
+    cells = ((grid - lo) / side).astype(np.int64)
+    if _key_space(cells) >= _KEY_SPACE:
+        # Far-apart points: per axis, close each run of empty cells to one
+        # cell, which leaves every pair of cells exactly as adjacent as it
+        # was; merging cells in twos, if still needed, only adds candidates.
+        for c in cells:
+            by = np.argsort(c)
+            c[by] = np.concatenate(([0], np.cumsum(np.minimum(np.diff(c[by]), 2))))
+        while _key_space(cells) >= _KEY_SPACE:
+            cells //= 2
+    extents = (cells.max(axis=1) + 3).tolist()  # an empty cell pads each end
+    key = np.zeros(n, dtype=np.int64)
+    for c, extent in zip(cells, extents):
+        key = key * extent + c + 1
+    order = np.argsort(key)
+    key = key[order]
+    first_of_cell = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    cell_key = key[first_of_cell]
+    k = len(extents)
+    strides = [math.prod(extents[axis + 1:]) for axis in range(k)]
+    rows = [sum(a * s for a, s in zip(offset, strides))
+            for offset in itertools.product((-1, 0, 1), repeat=k - 1) if offset > (0,) * (k - 1)]
+    # Slice s of sorted point p is [start[p, s], start[p, s] + length[p, s]):
+    # the rest of its own row's slice, then each following row's slice.
+    cell_of = np.repeat(np.arange(cell_key.size), np.diff(np.append(first_of_cell, n)))
+    start = np.empty((n, 1 + len(rows)), dtype=np.int64)
+    length = np.empty_like(start)
+    start[:, 0] = np.arange(1, n + 1)
+    length[:, 0] = np.searchsorted(key, cell_key + 1, "right")[cell_of] - start[:, 0]
+    for slot, row in enumerate(rows, start=1):
+        start[:, slot] = np.searchsorted(key, cell_key + (row - 1), "left")[cell_of]
+        end = np.searchsorted(key, cell_key + (row + 1), "right")[cell_of]
+        length[:, slot] = end - start[:, slot]
+    start, length = start.ravel(), length.ravel()
+    count = int(length.sum())
+    if count > max_pairs:
+        raise ResourceBudgetError(
+            f"{count} candidate pairs exceeds the pair budget {max_pairs}")
+    first = np.repeat(np.arange(n), length.reshape(n, -1).sum(axis=1))
+    second = np.repeat(start - (np.cumsum(length) - length), length)
+    second += np.arange(count)
+    dist2 = np.zeros(count)
+    for col in cols[:, order]:
+        diff = col.take(first) - col.take(second)
+        dist2 += diff * diff
+    near = np.flatnonzero(dist2 <= radius * radius)
+    i, j = order.take(first.take(near)), order.take(second.take(near))
+    pair = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    return np.stack(np.divmod(pair, n), axis=1)
+
+
 def sample_full_graph(density: Density, kernel: KernelSpec, n: int, seed: int,
                       max_pairs: int = 20_000_000) -> FullGraph:
     """All-pairs Bernoulli graph over n latent points.
 
     Pair (i, j), i < j, gets an edge when U < k(X_i, X_j), where U is the
     uniform at its row-major pair offset in the EDGE stream.  Only the pairs
-    within the kernel's support radius, found by a k-d tree, can fire; their
-    uniforms are computed directly from the counter-based stream, in
+    within the kernel's support radius, found by a cell list, can fire;
+    their uniforms are computed directly from the counter-based stream, in
     ``_PAIR_CHUNK`` steps, so every edge is the one the dense all-pairs rule
-    draws at O(E) instead of O(n^2) cost.  ``max_pairs`` bounds n(n-1)/2.
+    draws at O(E) instead of O(n^2) cost.  ``max_pairs`` bounds the cell
+    list's candidate pairs, the pairs of neighbouring cells.
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    pairs = n * (n - 1) // 2
-    if pairs > max_pairs:
-        raise ResourceBudgetError(f"{pairs} pairs exceeds the pair budget {max_pairs}")
+    # Per point, the cell list holds four copies of its coordinates, seven
+    # indices and the start and length of up to five slices.
+    check_float_budget(n * (4 * density.dim + 17), "a full graph of %d nodes", n)
     pts = density.sample(rngmod.stream(seed, rngmod.LATENT, 0), (n,))
-    # The slack keeps pairs whose distance the tree rounds past the radius.
-    near = cKDTree(pts).query_pairs(kernel.support_radius * (1 + 1e-9), output_type="ndarray")
+    # The slack keeps pairs whose rounded distance still connects at the radius.
+    near = _near_pairs(pts, kernel.support_radius * (1 + 1e-9), max_pairs)
     offsets = _pair_offsets(near, n)
-    order = np.argsort(offsets)
-    near, offsets = near[order], offsets[order]
     fire = np.empty(offsets.shape[0], dtype=bool)
     for lo in range(0, offsets.shape[0], _PAIR_CHUNK):
         i, j = near[lo:lo + _PAIR_CHUNK].T
@@ -401,7 +488,7 @@ def decoupling_selftest(n: int) -> DecouplingReport:
         fails[:, k] = (edges[:, i] != 0) & (lhs != rhs)
     den = np.column_stack([_r_denominator(total, edges, (i,)) for i in range(n)])
     used = (edges != 0) & (den > 0)
-    lcm = math.lcm(*np.unique(den[used]).tolist())
+    lcm = math.lcm(*set(den[used].tolist()))
     dtype = np.int64 if lcm * n < 1 << 63 else object
     shares = np.where(used, lcm // np.where(used, den, 1).astype(dtype), 0).sum(axis=1)
     fails[:, -1] = shares != lcm * (total > 0).astype(dtype)

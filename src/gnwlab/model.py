@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, ndtr, ndtri
 
 from .errors import InvalidInputError
 
@@ -458,6 +457,8 @@ class GaussianDensity(Density):
         (flip), so both CDF values are taken in the lower tail, where ndtr
         keeps its relative accuracy.  Returns (flip, cdf_lo, cdf_width).
         """
+        from scipy.special import ndtr  # imported here: most scenarios never need it
+
         m = np.asarray(self.mean)
         a = (x - radius - m) / self.stddev
         b = (x + radius - m) / self.stddev
@@ -470,6 +471,8 @@ class GaussianDensity(Density):
 
     def window_sample(self, rng, x, radius, count):
         """Inverse-CDF draws per axis from the normal truncated to the box."""
+        from scipy.special import ndtri
+
         flip, cdf_lo, width = self._window_axes(x, radius)
         z = ndtri(cdf_lo + rng.random((count, self.dim)) * width)
         pts = np.asarray(self.mean) + self.stddev * np.where(flip, -z, z)
@@ -601,6 +604,8 @@ def _ball_cap_volume(d: int, radius: float, plane_dist: float) -> float:
         return 0.0
     if plane_dist <= -radius:
         return unit_ball_volume(d) * radius**d
+    from scipy.special import betainc  # imported here: most scenarios never need it
+
     full = unit_ball_volume(d) * radius**d
     x = 1.0 - (plane_dist / radius) ** 2
     half_cap = 0.5 * full * betainc((d + 1) / 2.0, 0.5, x)

@@ -219,16 +219,36 @@ def test_module_entry_point(tmp_path):
     assert missing.stderr.startswith("error:")
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats costs about 0.3 s to import; only d > 3 quadrature needs it.
+def test_cli_import_leaves_scipy_stats_out(tmp_path):
+    # Importing scipy costs most of a shipped command's time.  Only ball
+    # windows that cross the support boundary, Gaussian windows and d > 3
+    # quadrature need it, and import it where they use it.
     src = str(Path(gnwlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, gnwlab.cli; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120)
+    script = """
+import os, sys
+import gnwlab.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+print(loaded())
+cfg, out = sys.argv[1:]
+print([gnwlab.cli.main([*argv, "--out", out]) for argv in (
+    ["selftest"],
+    ["verify", "--config", os.path.join(cfg, "expectation.json"), "--suite", "expectation",
+     "--replications", "500"],
+    ["sweep", "--config", os.path.join(cfg, "sweep.json"), "--parameter", "h",
+     "--values", "0.05,0.1,0.2"],
+    ["figure", "--config", os.path.join(cfg, "figure_rgg.json"), "--kind", "rgg"],
+)])
+print(loaded())
+"""
+    done = subprocess.run([sys.executable, "-c", script, CONFIG_DIR, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines() == ["[]", "[0, 0, 0, 0]", "[]"]
 
 
 def test_expectation_suite_integrates_twice_per_point(monkeypatch):
@@ -409,16 +429,30 @@ def test_float_budget_is_usage_error(tmp_path, capsys):
 
 
 def test_rgg_pair_budget_is_usage_error(tmp_path, capsys):
+    # The budget counts the cell list's candidate pairs, not all n(n-1)/2.
     payload = json.loads(open(_cfg("figure_rgg.json")).read())
-    payload["n"] = 100_000  # 4,999,950,000 pairs, above the 20,000,000 budget
+    payload["n"] = 100_000  # about 2.5e8 candidates at h = 0.08, above 20,000,000
     big = tmp_path / "big.json"
     big.write_text(json.dumps(payload))
     code = _run("figure", "--config", str(big), "--kind", "rgg", "--out", str(tmp_path / "g.svg"))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "4999950000 pairs" in err and "budget 20000000" in err
+    candidates = int(err.split()[1])
+    assert candidates > 20_000_000 and f"{candidates} candidate pairs" in err
+    assert "budget 20000000" in err
     assert not (tmp_path / "g.svg").exists()
+    # n too large for the latents is refused before they are drawn.
+    payload["n"] = 10**15
+    big.write_text(json.dumps(payload))
+    code = _run("figure", "--config", str(big), "--kind", "rgg", "--out", str(tmp_path / "g.svg"))
+    assert code == 2
+    _one_line_error(capsys, "a full graph of 1000000000000000 nodes", "budget")
+    # 49,995,000 pairs but about 4.4e4 candidates: once refused, now drawn.
+    payload["n"], payload["kernel"]["h"] = 10_000, 0.01
+    big.write_text(json.dumps(payload))
+    code = _run("figure", "--config", str(big), "--kind", "rgg", "--out", str(tmp_path / "g.svg"))
+    assert code == 0 and (tmp_path / "g.svg").exists()
 
 
 def _with(config: str, tmp_path, **edits) -> str:

@@ -238,10 +238,113 @@ def test_full_graph_symmetric_zero_diagonal():
 
 
 def test_full_graph_edge_budget():
-    with pytest.raises(ResourceBudgetError):
-        sample_full_graph(UniformCube(lo=(0.0,), hi=(1.0,)),
-                          KernelSpec(IndicatorKernel(), alpha=1.0, h=0.1),
-                          100, seed=0, max_pairs=10)
+    # max_pairs budgets the cell list's candidate pairs, not all n(n-1)/2.
+    density = UniformCube(lo=(0.0,), hi=(1.0,))
+    kernel = KernelSpec(IndicatorKernel(), alpha=1.0, h=0.01)
+    n = 100
+    refusal = "candidate pairs exceeds the pair budget 0"
+    with pytest.raises(ResourceBudgetError, match=refusal) as info:
+        sample_full_graph(density, kernel, n, seed=0, max_pairs=0)
+    candidates = int(str(info.value).split()[0])
+    assert 0 < candidates < n * (n - 1) // 2
+    with pytest.raises(ResourceBudgetError, match=f"^{candidates} candidate pairs"):
+        sample_full_graph(density, kernel, n, seed=0, max_pairs=candidates - 1)
+    g = sample_full_graph(density, kernel, n, seed=0, max_pairs=candidates)
+    assert len(g.edges) <= candidates
+    with pytest.raises(ResourceBudgetError, match="budget"):
+        sample_full_graph(density, kernel, 2**40, seed=0)  # the latents alone: 8 TiB
+
+
+def _brute_near_pairs(pts, radius):
+    """Every pair i < j within ``radius``, in row-major order: the same
+    per-axis sum, over all pairs."""
+    i, j = np.triu_indices(pts.shape[0], 1)
+    dist2 = np.zeros(i.size)
+    for k in range(pts.shape[1]):
+        dist2 += (pts[i, k] - pts[j, k]) ** 2
+    keep = dist2 <= radius * radius
+    return np.column_stack((i[keep], j[keep]))
+
+
+def _near_pair_input(case, d):
+    gen = np.random.default_rng(d)
+    if case == "one point":
+        return gen.random((1, d)), 0.5
+    if case == "two points":
+        return gen.random((2, d)), 0.5
+    if case == "duplicates":
+        return np.repeat(gen.random((12, d)), 3, axis=0)[gen.permutation(36)], 0.1
+    if case == "radius far above the spread":
+        return gen.random((60, d)), 1e6
+    if case == "radius 1e-9":
+        pts = gen.random((200, d))
+        pts[1] = pts[0] + 5e-10 / math.sqrt(d)  # one pair inside the radius
+        pts[2] = pts[0] + 2e-9 / math.sqrt(d)  # and one outside
+        return pts, 1e-9
+    if case == "gaussian with a far outlier":
+        pts = gen.standard_normal((1500, d))
+        pts[0] = 1e12
+        return pts, 0.05
+    raise AssertionError(case)
+
+
+def _candidates(pts, radius) -> int:
+    """The cell list's candidate count, read from its refusal."""
+    with pytest.raises(ResourceBudgetError, match="candidate pairs exceeds the pair") as info:
+        graph._near_pairs(pts, radius, max_pairs=-1)
+    return int(str(info.value).split()[0])
+
+
+NEAR_PAIR_CASES = ("one point", "two points", "duplicates", "radius far above the spread",
+                   "radius 1e-9", "gaussian with a far outlier")
+
+
+@pytest.mark.parametrize("case", NEAR_PAIR_CASES)
+@pytest.mark.parametrize("d", (1, 2, 3, 6))
+def test_near_pairs_match_all_pairs(case, d):
+    pts, radius = _near_pair_input(case, d)
+    n = pts.shape[0]
+    got = graph._near_pairs(pts, radius, max_pairs=10**7)
+    assert got.dtype == np.int64 and got.shape[1] == 2
+    assert np.array_equal(got, _brute_near_pairs(pts, radius))
+    if case == "radius 1e-9":
+        assert got.tolist() == [[0, 1]]
+    if case == "radius far above the spread":
+        assert len(got) == n * (n - 1) // 2
+    if case == "gaussian with a far outlier":
+        # ~10^13 cells per axis span the box, yet the outlier adds O(n)
+        # candidates at most: the cloud alone has about as many.
+        assert _candidates(pts, radius) <= 2 * _candidates(pts[1:], radius) + n
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_near_pairs_keep_a_pair_at_exactly_the_radius(d):
+    # Dyadic coordinates make the squared distance exact: 0.375^2 + 0.5^2 = 0.625^2.
+    pts = np.random.default_rng(d).random((40, d))
+    step = np.array([0.375, 0.5, 0.0][:d])
+    pts[7] = 0.25
+    pts[23] = pts[7] + step
+    radius = float(np.sqrt(np.sum(step**2)))
+    assert radius in (0.375, 0.625)
+    for r, inside in ((radius, True), (np.nextafter(radius, 0.0), False)):
+        got = graph._near_pairs(pts, r, max_pairs=10**6)
+        assert ([7, 23] in got.tolist()) is inside
+        assert np.array_equal(got, _brute_near_pairs(pts, r))
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_near_pairs_with_a_small_key_space(d, monkeypatch):
+    # Gaps closed and cells merged in twos until the keys fit: same pairs.
+    monkeypatch.setattr(graph, "_KEY_SPACE", 64)
+    pts = np.random.default_rng(d).random((300, d)) * 100.0
+    pts[0] = 1e9
+    got = graph._near_pairs(pts, 0.3 * d, max_pairs=10**6)
+    assert np.array_equal(got, _brute_near_pairs(pts, 0.3 * d))
+
+
+def test_near_pairs_count_every_candidate():
+    # 2000 equal points share one cell: all n(n-1)/2 pairs are candidates.
+    assert _candidates(np.zeros((2000, 2)), 1.0) == 1_999_000
 
 
 def _dense_full_graph(density, kernel, n, seed):
@@ -287,7 +390,7 @@ def test_full_graph_matches_dense_reference(kind, d, monkeypatch):
         if n > 1:
             complete = len(edges) == n * (n - 1) // 2
             seen.add("complete" if complete else "partial" if len(edges) else "empty")
-        for chunk in (1, 7, graph._PAIR_CHUNK) if n < 100 else (7, graph._PAIR_CHUNK):
+        for chunk in (1, 7, graph._PAIR_CHUNK) if n < 100 else (graph._PAIR_CHUNK,):
             with monkeypatch.context() as m:
                 m.setattr(graph, "_PAIR_CHUNK", chunk)
                 g = sample_full_graph(density, kernel, n, seed=n + d)
@@ -307,10 +410,20 @@ def test_full_graph_matches_dense_reference_across_default_chunks():
     assert graph._pair_offsets(edges, n)[-1] > graph._PAIR_CHUNK
 
 
+def test_full_graph_in_twelve_dimensions_matches_dense_reference():
+    # Cells cut only the first three axes; the other nine count in the
+    # distance check alone.
+    density = UniformCube(lo=(0.0,) * 12, hi=(1.0,) * 12)
+    kernel = KernelSpec(IndicatorKernel(), alpha=0.5, h=0.6)
+    pts, edges = _dense_full_graph(density, kernel, 1000, seed=5)
+    g = sample_full_graph(density, kernel, 1000, seed=5)
+    assert len(edges) > 0 and np.array_equal(g.points, pts) and np.array_equal(g.edges, edges)
+
+
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_full_graph_keeps_pairs_at_the_support_radius(d):
     # With h equal to the distance of pair (0, 1), k = alpha exactly, so
-    # the indicator kernel connects the pair whatever the tree's rounding.
+    # the indicator kernel connects the pair whatever the cell list's rounding.
     density = UniformCube(lo=(0.0,) * d, hi=(1.0,) * d)
     for seed in range(20):
         pts = density.sample(rngmod.stream(seed, rngmod.LATENT, 0), (30,))
