@@ -60,7 +60,6 @@ from .scenario import QuerySpec, ScenarioConfig, ScenarioConstants, parse_config
 from .theory import (
     BandwidthRange,
     RiskBoundReport,
-    TheoryReport,
     WindowMoments,
     bandwidth_admissible_range,
     bias_uniform_bound,
@@ -71,12 +70,10 @@ from .theory import (
     expectation_gnw,
     holder_density_risk_bound,
     local_connection,
-    local_degree,
     measure_retaining_estimate,
     pointwise_risk_bound,
     proxy_gap,
     smoothed_value,
-    theory_report,
     uniform_density_risk_bound,
     variance_lower_bound,
     variance_upper_bound,

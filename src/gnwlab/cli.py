@@ -29,7 +29,7 @@ from .montecarlo import (
     estimate_tail,
     run_replications,
 )
-from .scenario import ScenarioConfig, parse_config
+from .scenario import ScenarioConfig, _float, parse_config
 from .stats import Z99
 
 __all__ = ["VerificationRow", "cmd_verify", "cmd_sweep", "cmd_figure", "cmd_selftest",
@@ -267,9 +267,18 @@ def _with_parameter(config: ScenarioConfig, parameter: str, value: float) -> Sce
     raise ConfigError(f"unknown sweep parameter {parameter!r}; valid: h, alpha, n")
 
 
+def _sweep_value(value) -> float:
+    """A sweep value under the config's finite-number rule."""
+    try:
+        value = float(value)
+    except ValueError:
+        pass  # _float refuses the text itself
+    return _float(value, "sweep values")
+
+
 def cmd_sweep(config: ScenarioConfig, parameter: str, values, threads: int = 1):
     """MISE and closed-form bounds along a parameter grid; returns CSV rows."""
-    values = [float(v) for v in values]
+    values = [_sweep_value(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one value")
     if any(v <= 0 for v in values) or values != sorted(values):
@@ -387,6 +396,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if args.replications is not None and args.replications < 1:
+            raise ConfigError(f"--replications must be >= 1, got {args.replications}")
         config = None
         if args.config is not None:
             config = parse_config(args.config)

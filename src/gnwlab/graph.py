@@ -31,15 +31,17 @@ whole batch and cut.
 Both kinds of batch refuse, with ``ResourceBudgetError``, to allocate float64
 arrays larger than ``FLOAT_BUDGET_BYTES``.
 
-Full graphs (``sample_full_graph``, the rgg figure).  Pair (i, j), i < j,
-takes the uniform at its row-major pair offset in one edge stream and gets
-an edge when U < k(X_i, X_j).  Only pairs within the kernel's support
-radius can fire; a cell list finds these E candidates, and the
-counter-based stream (``rng.uniforms_at``) gives each its uniform directly.
-A full graph therefore costs a sort of the n points by cell, a distance
-check on the pairs of neighbouring cells, and O(E) Philox evaluations;
-neither an n x n matrix nor the n(n-1)/2 uniforms of all pairs are
-generated.
+Full graphs (``sample_full_graph``, the rgg figure).  A pair (i, j), i < j,
+is live when k(X_i, X_j) > 0.  The live pairs, in row-major order, take
+consecutive uniforms of one edge stream, and a pair gets an edge when
+U < k(X_i, X_j).  A cell list finds the E candidate pairs within the
+kernel's support radius, which hold every live pair; so a full graph costs
+a sort of the n points by cell, a distance check on the pairs of
+neighbouring cells and O(E) uniforms, and neither an n x n matrix nor the
+n(n-1)/2 uniforms of all pairs are generated.  Which pairs are live, hence
+which uniform each one reads, does not depend on the sparsity amplitude
+alpha, so graphs at different alpha share their uniforms; graphs at
+different h do not.
 """
 
 import itertools
@@ -258,7 +260,7 @@ def sample_neighborhood(density: Density, kernel: KernelSpec, regression: Regres
 # Full graphs (figures only)
 # ---------------------------------------------------------------------------
 
-# Candidate pairs whose uniforms and edge rule ``sample_full_graph``
+# Candidate pairs whose edge probabilities and uniforms ``sample_full_graph``
 # evaluates per step, which bounds its temporaries.
 _PAIR_CHUNK = 1 << 16
 
@@ -275,12 +277,6 @@ class FullGraph:
     def edge_list(self) -> list[tuple[int, int]]:
         i, j = self.edges.T
         return list(zip(i.tolist(), j.tolist()))
-
-
-def _pair_offsets(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Row-major index of each pair (i, j), i < j, among all n(n-1)/2 pairs."""
-    i, j = pairs[:, 0], pairs[:, 1]
-    return i * (n - 1) - i * (i - 1) // 2 + (j - i - 1)
 
 
 # Cell keys stay below this bound, so a key plus or minus a row stride fits int64.
@@ -374,13 +370,14 @@ def sample_full_graph(density: Density, kernel: KernelSpec, n: int, seed: int,
                       max_pairs: int = 20_000_000) -> FullGraph:
     """All-pairs Bernoulli graph over n latent points.
 
-    Pair (i, j), i < j, gets an edge when U < k(X_i, X_j), where U is the
-    uniform at its row-major pair offset in the EDGE stream.  Only the pairs
-    within the kernel's support radius, found by a cell list, can fire;
-    their uniforms are computed directly from the counter-based stream, in
-    ``_PAIR_CHUNK`` steps, so every edge is the one the dense all-pairs rule
-    draws at O(E) instead of O(n^2) cost.  ``max_pairs`` bounds the cell
-    list's candidate pairs, the pairs of neighbouring cells.
+    The live pairs (i, j), i < j, those with k(X_i, X_j) > 0, take
+    consecutive uniforms U of the EDGE stream in row-major order, and a
+    live pair gets an edge when U < k(X_i, X_j).  Only the candidate pairs
+    of a cell list, the pairs within the kernel's support radius, are
+    evaluated, in ``_PAIR_CHUNK`` steps from one generator, so every edge is
+    the one the all-pairs rule draws, at O(E) instead of O(n^2) cost.
+    ``max_pairs`` bounds the candidate pairs, the pairs of neighbouring
+    cells.
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
@@ -390,12 +387,13 @@ def sample_full_graph(density: Density, kernel: KernelSpec, n: int, seed: int,
     pts = density.sample(rngmod.stream(seed, rngmod.LATENT, 0), (n,))
     # The slack keeps pairs whose rounded distance still connects at the radius.
     near = _near_pairs(pts, kernel.support_radius * (1 + 1e-9), max_pairs)
-    offsets = _pair_offsets(near, n)
-    fire = np.empty(offsets.shape[0], dtype=bool)
-    for lo in range(0, offsets.shape[0], _PAIR_CHUNK):
+    coins = rngmod.stream(seed, rngmod.EDGE, 0)
+    fire = np.zeros(near.shape[0], dtype=bool)
+    for lo in range(0, near.shape[0], _PAIR_CHUNK):
         i, j = near[lo:lo + _PAIR_CHUNK].T
-        uniforms = rngmod.uniforms_at(offsets[lo:lo + _PAIR_CHUNK], seed, rngmod.EDGE, 0)
-        fire[lo:lo + _PAIR_CHUNK] = uniforms < kernel.edge_probabilities(pts[i], pts[j])
+        probs = kernel.edge_probabilities(pts[i], pts[j])
+        live = np.flatnonzero(probs > 0.0)
+        fire[lo + live] = coins.random(live.size) < probs[live]
     return FullGraph(points=pts, edges=near[fire])
 
 

@@ -179,8 +179,8 @@ class KernelSpec:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise InvalidInputError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (self.h > 0.0):
-            raise InvalidInputError(f"h must be positive, got {self.h}")
+        if not (0.0 < self.h < math.inf):
+            raise InvalidInputError(f"h must be positive and finite, got {self.h}")
         if self.m1 is None:
             object.__setattr__(self, "m1", self.base.default_m1)
         if self.m2 is None:

@@ -22,7 +22,7 @@ from .errors import InvalidInputError, ResourceBudgetError
 from .estimators import Prediction, predict_rows
 from .graph import NeighborhoodSampler, check_float_budget
 from .model import KernelSpec, as_point
-from .stats import Z99, wilson_halfwidth, wilson_interval
+from .stats import wilson_halfwidth, wilson_interval
 from .theory import smoothed_value
 
 __all__ = [
@@ -77,7 +77,7 @@ class PredictionBatch:
 
 @dataclass(frozen=True)
 class MCReport:
-    """Replication summary with 99% confidence information.
+    """Replication summary with standard errors.
 
     ``variance_proxy`` is the mean squared deviation from the smoothed
     reference value b_n; ``standard_variance`` the mean squared deviation
@@ -90,7 +90,6 @@ class MCReport:
     variance_proxy: float
     standard_variance: float
     empty_frequency: float
-    ci_halfwidth_mean: float
     seed: int
     tail_frequencies: tuple[tuple[float, float], ...] = ()
     mse: float | None = None
@@ -178,7 +177,6 @@ def estimate_moments(predictions, b_n_reference: float, seed: int = 0,
         variance_proxy=proxy,
         standard_variance=std_var,
         empty_frequency=empty,
-        ci_halfwidth_mean=Z99 * se_mean,
         seed=seed,
         tail_frequencies=tails,
         se_mean=se_mean,
@@ -265,7 +263,6 @@ def estimate_integrated_risk(config, R_outer: int, R_inner: int,
         variance_proxy=float("nan"),
         standard_variance=float(np.mean((values - mean) ** 2)),
         empty_frequency=empty,
-        ci_halfwidth_mean=Z99 * float(np.std(values, ddof=1)) / math.sqrt(R),
         seed=master,
         mse=mise,
         se_mse=se,

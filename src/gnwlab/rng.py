@@ -15,18 +15,15 @@ amplitude alpha perturbs none of them: common random numbers across alpha
 and across noise models.  The window itself depends on h, so h and n
 sweeps draw fresh values at every sweep value.
 
-Random access.  The streams are numpy's Philox4x64-10, which is counter
-based (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11):
-the k-th uniform of a fresh stream is word k % 4 of the Philox block at
-counter k // 4 + 1 under the stream's key, converted as (u >> 11) 2^-53.
-:func:`uniforms_at` evaluates the generator at those counters only, so it
-returns exactly ``stream(key).random(N)[offsets]`` for any N above the
-largest offset, at a cost of O(len(offsets)) instead of O(N).
+Full graphs (:func:`gnwlab.graph.sample_full_graph`) take their latents
+from ``stream(seed, LATENT, 0)`` and their edge uniforms from
+``stream(seed, EDGE, 0)``: the live pairs, those with positive edge
+probability, read its uniforms one after another in row-major order.
+Alpha does not change which pairs are live, so full graphs keep common
+random numbers across alpha; h does, so each h draws fresh edge uniforms.
 """
 
 import numpy as np
-
-from .errors import InvalidInputError
 
 # Stream tags.  Values are part of the reproducibility contract: changing
 # them changes every sampled dataset.
@@ -69,45 +66,3 @@ def stream(master_seed: int, tag: int, *block: int) -> np.random.Generator:
     """Generator for the (seed, tag, *block) key, Philox-backed."""
     key = (int(master_seed) & (2**64 - 1), int(tag), *map(int, block))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=key)))
-
-
-# Philox4x64-10 (Random123): round multipliers M0, M1, and the key of round
-# r is the stream key plus r times the bumps W0, W1 (mod 2^64).
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_BUMPS = np.array([[[r * 0x9E3779B97F4A7C15 % 2**64], [r * 0xBB67AE8584CAA73B % 2**64]]
-                          for r in range(10)], dtype=np.uint64)
-_LO32, _S11, _S32 = np.uint64(0xFFFFFFFF), np.uint64(11), np.uint64(32)
-_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _S32
-
-
-def uniforms_at(offsets, master_seed: int, tag: int, *block: int) -> np.ndarray:
-    """``stream(master_seed, tag, *block).random(N)[offsets]`` for any N above
-    the largest offset, computed at the given offsets only.
-
-    ``offsets`` is an int64 array of any shape and order, repeats allowed.
-    Philox is evaluated in uint64 arithmetic at counters offsets // 4 + 1; the
-    64 x 64 -> 128-bit products are assembled from 32-bit halves.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.size and offsets.min() < 0:
-        raise InvalidInputError("stream offsets must be >= 0")
-    flat = offsets.ravel()
-    key = stream(master_seed, tag, *block).bit_generator.state["state"]["key"]
-    round_keys = key[:, None] + _PHILOX_BUMPS
-    # A block is (left[0], right[0], left[1], right[1]); each round
-    # multiplies the left words and swaps them into the right ones.
-    left = np.zeros((2, flat.size), dtype=np.uint64)
-    left[0] = (flat >> 2) + 1
-    right = np.zeros_like(left)
-    for k in round_keys:
-        # hi = the high word of M * left, from the 32-bit halves' products;
-        # no partial sum passes 2^64.
-        a_lo, a_hi = left & _LO32, left >> _S32
-        t = a_lo * _PHILOX_M_LO
-        u = a_hi * _PHILOX_M_LO + (t >> _S32)
-        v = a_lo * _PHILOX_M_HI + (u & _LO32)
-        hi = a_hi * _PHILOX_M_HI + (u >> _S32) + (v >> _S32)
-        left, right = hi[::-1] ^ right ^ k, (left * _PHILOX_M)[::-1]
-    words = np.stack((left, right), axis=1).reshape(4, flat.size)
-    picked = words[flat & 3, np.arange(flat.size)]
-    return ((picked >> _S11) * 2.0**-53).reshape(offsets.shape)

@@ -40,14 +40,12 @@ from .quadrature import QuadResult, integrate_box
 from .stats import wilson_interval
 
 __all__ = [
-    "TheoryReport",
     "RiskBoundReport",
     "BandwidthRange",
     "RetentionEstimate",
     "WindowMoments",
     "window_moments",
     "local_connection",
-    "local_degree",
     "operator_value",
     "smoothed_value",
     "expectation_gnw",
@@ -68,7 +66,6 @@ __all__ = [
     "measure_retaining_estimate",
     "degree_ratio_check",
     "lebesgue_ratio_bracket",
-    "theory_report",
 ]
 
 
@@ -132,14 +129,6 @@ def local_connection(density: Density, kernel: KernelSpec, x, rel_tol: float = 1
         return closed, 0.0
     res = _window_integral(density, kernel, x, rel_tol=rel_tol)
     return res.value, res.error
-
-
-def local_degree(density: Density, kernel: KernelSpec, x, n: int) -> float:
-    """d_n(x) = n c_n(x)."""
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
-    c, _ = local_connection(density, kernel, x)
-    return n * c
 
 
 def operator_value(density: Density, kernel: KernelSpec, regression: Regression, x,
@@ -518,54 +507,3 @@ def lebesgue_ratio_bracket(density: Density, kernel: KernelSpec, x) -> tuple[flo
     px = float(density.pdf(x[None, :])[0])
     vd = unit_ball_volume(d)
     return 0.5 * vd * kernel.m1**d * px, vd * kernel.m2**d * px
-
-
-# ---------------------------------------------------------------------------
-# Scenario-level report
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TheoryReport:
-    x: tuple[float, ...]
-    c_n: float
-    d_n: float
-    t_f: float
-    b_n: float
-    bias_proxy: float
-    expectation_gnw: float
-    variance_upper: float
-    variance_lower: float
-    bias_bound: float | None
-    empty_prob: float
-    quadrature_error: float
-
-
-def theory_report(density: Density, kernel: KernelSpec, regression: Regression,
-                  noise_variance: float, n: int, x) -> TheoryReport:
-    """Bundle of every pointwise analytic quantity for one query point."""
-    x = as_point(x, dim=density.dim)
-    m = window_moments(density, kernel, regression, x)
-    d_n = n * m.c_n
-    fx = regression.eval_one(x)
-    B = regression.bound
-    bias_bound = None
-    if regression.holder is not None and regression.holder[1] > 0:
-        a, L = regression.holder
-        bias_bound = bias_uniform_bound(L, a, kernel.m2, kernel.h)
-    elif regression.holder is not None:
-        bias_bound = 0.0
-    return TheoryReport(
-        x=tuple(float(v) for v in x),
-        c_n=m.c_n,
-        d_n=d_n,
-        t_f=m.t_f,
-        b_n=m.b_n,
-        bias_proxy=m.b_n - fx,
-        expectation_gnw=m.expectation(n),
-        variance_upper=variance_upper_bound(B, noise_variance, d_n) if d_n > 0 else math.inf,
-        variance_lower=variance_lower_bound(noise_variance, d_n) if d_n > 0 else 0.0,
-        bias_bound=bias_bound,
-        empty_prob=(1.0 - m.c_n) ** n,
-        quadrature_error=m.c_err + m.b_err,
-    )

@@ -200,6 +200,15 @@ def test_threads_below_one_is_usage_error(threads, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--threads" in err
     assert err.count("\n") == 1
+    # --replications below 1 is refused the same way, as in a config,
+    # including by the suites that never read it.
+    for suite in ("bias", "decoupling", "degree_ratio"):
+        code = _run("verify", "--config", _cfg("expectation.json"), "--suite", suite,
+                    "--replications", threads)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--replications" in err
+        assert err.count("\n") == 1
 
 
 def test_module_entry_point(tmp_path):
@@ -312,6 +321,14 @@ def test_sweep_rejects_empty_and_unsorted_values(capsys):
     # the n column would read 10.5 for a run at n = 10
     assert _run("sweep", "--config", _cfg("sweep.json"), "--parameter", "n",
                 "--values", "10.5") == 2
+    capsys.readouterr()
+    # values follow the config's finite-number rule: no traceback, no h = inf row
+    for values in ("abc", "0.1,abc", "inf", "1e400", "nan"):
+        assert _run("sweep", "--config", _cfg("sweep.json"), "--parameter", "h",
+                    "--values", values) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_figure_rgg(tmp_path):

@@ -348,14 +348,15 @@ def test_near_pairs_count_every_candidate():
 
 
 def _dense_full_graph(density, kernel, n, seed):
-    """Reference sampler: every pair's edge rule, row by row, over the dense
-    uniform stream (the all-pairs loop ``sample_full_graph`` replaced)."""
+    """Reference sampler: the live-pair rule, row by row over all pairs, with
+    no cell list: the pairs with k > 0 read the edge stream in turn."""
     pts = density.sample(rngmod.stream(seed, rngmod.LATENT, 0), (n,))
     gen = rngmod.stream(seed, rngmod.EDGE, 0)
     rows = [np.empty((0, 2), dtype=np.intp)]
     for i in range(n - 1):
         probs = kernel.edge_probabilities(pts[i], pts[i + 1:])
-        j = np.flatnonzero(gen.random(n - 1 - i) < probs) + i + 1
+        live = np.flatnonzero(probs > 0.0)
+        j = live[gen.random(live.size) < probs[live]] + i + 1
         rows.append(np.column_stack([np.full(j.shape, i), j]))
     return pts, np.concatenate(rows)
 
@@ -401,13 +402,14 @@ def test_full_graph_matches_dense_reference(kind, d, monkeypatch):
 
 def test_full_graph_matches_dense_reference_across_default_chunks():
     density = UniformCube(lo=(0.0, 0.0), hi=(1.0, 1.0))
-    kernel = KernelSpec(TriangleKernel(), alpha=0.5, h=0.02)
-    n = 1500  # 1,124,250 pairs: candidates reach past offset _PAIR_CHUNK of the stream
-    assert n * (n - 1) // 2 > graph._PAIR_CHUNK
+    kernel = KernelSpec(TriangleKernel(), alpha=0.5, h=0.16)
+    n = 1500  # about 7e4 live pairs: their uniforms run past one default chunk
     pts, edges = _dense_full_graph(density, kernel, n, seed=4)
     g = sample_full_graph(density, kernel, n, seed=4)
     assert np.array_equal(g.points, pts) and np.array_equal(g.edges, edges)
-    assert graph._pair_offsets(edges, n)[-1] > graph._PAIR_CHUNK
+    live = sum(np.count_nonzero(kernel.edge_probabilities(pts[i], pts[i + 1:]) > 0.0)
+               for i in range(n - 1))
+    assert live > graph._PAIR_CHUNK
 
 
 def test_full_graph_in_twelve_dimensions_matches_dense_reference():
@@ -447,15 +449,53 @@ def test_full_graph_matches_dense_reference_across_default_candidate_chunks():
 def test_full_graph_edge_rule_is_strict_at_a_tie():
     # An indicator kernel has k = alpha on its support, so with alpha set to
     # the uniform a pair reads, U < k fails by a tie; one ulp more connects.
+    # At h = 100 every pair is live, so pair (i, j) reads the uniform at its
+    # row-major offset among all n(n-1)/2 pairs.
     density = UniformCube(lo=(0.0, 0.0), hi=(1.0, 1.0))
     n = 6
     for seed in range(5):
-        pair = np.array([[seed % 3, 3 + seed % 3]])
-        u = float(rngmod.uniforms_at(graph._pair_offsets(pair, n), seed, rngmod.EDGE, 0)[0])
+        i, j = seed % 3, 3 + seed % 3
+        offset = i * (n - 1) - i * (i - 1) // 2 + (j - i - 1)
+        u = float(rngmod.stream(seed, rngmod.EDGE, 0).random(n * (n - 1) // 2)[offset])
         for alpha, connected in ((u, False), (np.nextafter(u, 1.0), True)):
             g = sample_full_graph(density, KernelSpec(IndicatorKernel(), alpha=alpha, h=100.0),
                                   n, seed=seed)
-            assert (tuple(pair[0].tolist()) in g.edge_list()) is connected
+            assert ((i, j) in g.edge_list()) is connected
+
+
+def test_full_graph_pair_at_the_support_radius_draws_no_uniform(monkeypatch):
+    # Dyadic points: pair (0, 1) lies exactly h = 0.625 apart, so it is a
+    # candidate with triangle k = 0.  The live pairs after it read the
+    # stream from its first uniform on; a uniform spent on (0, 1) would
+    # shift every one of them.
+    density = UniformCube(lo=(0.0, 0.0), hi=(1.0, 1.0))
+    pts = np.vstack([[0.0, 0.0], [0.375, 0.5],
+                     np.random.default_rng(3).integers(0, 64, (10, 2)) / 256.0])
+    monkeypatch.setattr(UniformCube, "sample", lambda self, gen, shape: pts.copy())
+    kernel = KernelSpec(TriangleKernel(), alpha=0.5, h=0.625)
+    n = len(pts)
+    assert [0, 1] in graph._near_pairs(pts, kernel.support_radius, max_pairs=100).tolist()
+    probs = np.concatenate([kernel.edge_probabilities(pts[i], pts[i + 1:])
+                            for i in range(n - 1)])
+    pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
+    live = probs > 0.0
+    assert np.flatnonzero(~live).tolist() == [0]  # (0, 1) alone
+    u = rngmod.stream(7, rngmod.EDGE, 0).random(len(pairs))
+    expected = pairs[live][u[:-1] < probs[live]]
+    shifted = pairs[live][u[1:] < probs[live]]
+    assert not np.array_equal(expected, shifted)
+    g = sample_full_graph(density, kernel, n, seed=7)
+    assert np.array_equal(g.edges, expected)
+
+
+def test_full_graph_edges_nest_across_alpha():
+    # Common random numbers: the live pairs, hence their uniforms, are the
+    # same at every alpha, so U < alpha k only loses edges as alpha falls.
+    density = UniformCube(lo=(0.0, 0.0), hi=(1.0, 1.0))
+    graphs = [sample_full_graph(density, KernelSpec(TriangleKernel(), alpha=alpha, h=0.1),
+                                400, seed=11) for alpha in (0.5, 1.0)]
+    half, full = (set(g.edge_list()) for g in graphs)
+    assert 0 < len(half) < len(full) and half <= full
 
 
 def test_neighborhood_edge_rule_is_strict_at_a_tie():

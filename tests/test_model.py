@@ -86,6 +86,9 @@ def test_kernel_spec_validation():
         KernelSpec(IndicatorKernel(), alpha=0.0, h=0.1)
     with pytest.raises(InvalidInputError):
         KernelSpec(IndicatorKernel(), alpha=0.5, h=-1.0)
+    for h in (math.inf, math.nan):
+        with pytest.raises(InvalidInputError):
+            KernelSpec(IndicatorKernel(), alpha=0.5, h=h)
     with pytest.raises(InvalidInputError):
         KernelSpec(IndicatorKernel(), alpha=0.5, h=0.1, m1=2.0, m2=1.0)
 

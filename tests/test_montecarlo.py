@@ -298,10 +298,10 @@ def test_oracle_latent_average_matches_expectation_formula():
 
 def test_degree_concentration_empirical():
     # P(|realized degree - d_n| >= d_n/2) <= 2 exp(-3 d_n / 14)
-    from gnwlab.theory import degree_concentration_bound, local_degree
+    from gnwlab.theory import degree_concentration_bound, local_connection
 
     cfg = unit_interval_scenario(n=100, h=0.05)
-    d_n = local_degree(cfg.density, cfg.kernel, [0.5], cfg.n)
+    d_n = cfg.n * local_connection(cfg.density, cfg.kernel, [0.5])[0]
     batch = run_replications(cfg, [0.5], 50_000)
     freq = float(np.mean(np.abs(batch.masses - d_n) >= d_n / 2.0))
     assert freq <= degree_concentration_bound(d_n)
@@ -343,13 +343,13 @@ def test_mise_within_admissible_bandwidth_window():
 def test_tail_scales_inverse_degree_via_chebyshev():
     # unbounded noise: no exponential envelope, but the variance bound gives
     # P(|pred - b_n| >= delta) <= (261 B^2 + 65 s^2) / (d_n delta^2)
-    from gnwlab.theory import local_degree, variance_upper_bound
+    from gnwlab.theory import local_connection, variance_upper_bound
 
     delta = 1.0
     for n in (50, 200, 800):
         cfg = unit_interval_scenario(n=n, h=0.1, noise=GaussianNoise(stddev=1.0),
                                      master_seed=63_000 + n)
-        d_n = local_degree(cfg.density, cfg.kernel, [0.5], n)
+        d_n = n * local_connection(cfg.density, cfg.kernel, [0.5])[0]
         batch = run_replications(cfg, [0.5], 20_000)
         tails = estimate_tail(batch, 1.0, [delta])
         bound = variance_upper_bound(1.0, 1.0, d_n) / delta**2

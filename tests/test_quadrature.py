@@ -112,17 +112,21 @@ def test_empty_domain():
 # ---------------------------------------------------------------------------
 
 
+# Gauss-Legendre nodes and weights, computed once: the per-node reference
+# runs thousands of 1-d rules.
+_X7, _W7 = np.polynomial.legendre.leggauss(7)
+_X15, _W15 = np.polynomial.legendre.leggauss(15)
+
+
 def _heap_interval(f, lo, hi, *, rel_tol=1e-9, abs_tol=0.0, breakpoints=(), max_panels=4096):
     """The adaptive rule for one integral, with a heap of panels (worst first, oldest on ties)."""
     if hi <= lo:
         return QuadResult(0.0, 0.0, 0)
-    x7, w7 = np.polynomial.legendre.leggauss(7)
-    x15, w15 = np.polynomial.legendre.leggauss(15)
 
     def panel(a, b):
         half, mid = 0.5 * (b - a), 0.5 * (b + a)
-        v7 = half * float(np.dot(w7, f(mid + half * x7)))
-        v15 = half * float(np.dot(w15, f(mid + half * x15)))
+        v7 = half * float(np.dot(_W7, f(mid + half * _X7)))
+        v15 = half * float(np.dot(_W15, f(mid + half * _X15)))
         return v15, abs(v15 - v7)
 
     cuts = sorted({float(lo), float(hi), *(float(p) for p in breakpoints if lo < p < hi)})

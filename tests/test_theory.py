@@ -29,17 +29,16 @@ from gnwlab.theory import (
     holder_density_risk_bound,
     lebesgue_ratio_bracket,
     local_connection,
-    local_degree,
     measure_retaining_estimate,
     operator_value,
     pointwise_risk_bound,
     proxy_gap,
     smoothed_value,
     sqrt_density_integral,
-    theory_report,
     uniform_density_risk_bound,
     variance_lower_bound,
     variance_upper_bound,
+    window_moments,
 )
 
 UNIT = UniformCube(lo=(0.0,), hi=(1.0,))
@@ -108,16 +107,6 @@ def test_gaussian_connection_vs_scipy():
     assert mine == pytest.approx(ref, rel=1e-9)
 
 
-def test_local_degree():
-    assert local_degree(UNIT, INDICATOR, [0.5], 50) == pytest.approx(10.0, rel=1e-12)
-    assert local_degree(UNIT, KernelSpec(IndicatorKernel(), alpha=0.5, h=0.1), [0.5], 1000) \
-        == pytest.approx(100.0, rel=1e-12)
-    far = local_degree(UNIT, INDICATOR, [5.0], 10)
-    assert far == 0.0
-    with pytest.raises(InvalidInputError):
-        local_degree(UNIT, INDICATOR, [0.5], 0)
-
-
 def test_smoothed_value_examples():
     b, _ = smoothed_value(UNIT, INDICATOR, ConstantFunction(1.0), [0.5])
     assert b == pytest.approx(1.0, rel=1e-10)
@@ -167,6 +156,17 @@ def test_expectation_constant_identity():
         c, _ = local_connection(UNIT, INDICATOR, [0.3])
         e = expectation_gnw(UNIT, INDICATOR, ConstantFunction(2.5), [0.3], n)
         assert e == pytest.approx(2.5 * (1.0 - (1.0 - c) ** n), rel=1e-10)
+
+
+def test_window_moments_relations():
+    m = window_moments(UNIT, INDICATOR, IDENTITY, [0.5])
+    assert m.b_n * m.c_n == pytest.approx(m.t_f, abs=1e-10)
+    assert m.b_n == pytest.approx(0.5, abs=1e-12)  # f(x): no bias at the centre
+    assert expectation_gnw(UNIT, INDICATOR, IDENTITY, [0.5], 10) \
+        == pytest.approx(m.b_n * (1.0 - (1.0 - m.c_n) ** 10), rel=1e-12)
+    assert m.c_err == 0.0 and m.b_err < 1e-6
+    far = window_moments(UNIT, INDICATOR, IDENTITY, [5.0])
+    assert (far.c_n, far.t_f, far.b_n, far.b_err) == (0.0, 0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def test_degree_lower_bound_dominated_by_actual():
     # interior point of the unit interval: actual degree beats the guarantee
     for h in (0.02, 0.1, 0.3):
         k = KernelSpec(IndicatorKernel(), alpha=0.8, h=h)
-        actual = local_degree(UNIT, k, [0.5], 500)
+        actual = 500 * local_connection(UNIT, k, [0.5])[0]
         guaranteed = degree_lower_bound(0.5, 1, 1.0, 500, 0.8, h, 1.0)
         assert actual >= guaranteed - 1e-9
 
@@ -411,20 +411,3 @@ def test_degree_ratio_examples():
 def test_lebesgue_bracket_merges_for_indicator():
     lo, hi = lebesgue_ratio_bracket(UNIT, INDICATOR, [0.5])
     assert lo == pytest.approx(1.0) and hi == pytest.approx(2.0)
-
-
-# ---------------------------------------------------------------------------
-# bundled report
-# ---------------------------------------------------------------------------
-
-
-def test_theory_report_invariants():
-    rep = theory_report(UNIT, INDICATOR, IDENTITY, noise_variance=0.5, n=10, x=[0.5])
-    assert rep.d_n == pytest.approx(10 * rep.c_n, rel=1e-14)
-    assert rep.b_n * rep.c_n == pytest.approx(rep.t_f, abs=1e-10)
-    assert 0.0 <= rep.empty_prob <= 1.0
-    assert rep.variance_lower <= rep.variance_upper
-    assert rep.expectation_gnw == pytest.approx(rep.b_n * (1 - rep.empty_prob), rel=1e-12)
-    assert rep.bias_proxy == pytest.approx(rep.b_n - 0.5, abs=1e-12)
-    assert rep.bias_bound == pytest.approx(2.0 * 0.1, rel=1e-12)
-    assert rep.quadrature_error < 1e-6
