@@ -7,14 +7,17 @@ radius-2 circles for points, 0.5-width segments for edges.
 
 import numpy as np
 
+from . import rng as rngmod
 from .errors import InvalidInputError
 from .estimators import predict_rows
-from .graph import FullGraph, NeighborhoodSampler
+from .graph import FullGraph, check_float_budget
 
 __all__ = ["rgg_svg", "tradeoff_svg"]
 
 _SIZE = 800.0
 _MARGIN = 40.0
+# Points of the tradeoff figure's evaluation grid.
+_GRID_POINTS = 257
 
 
 def _scale(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -56,35 +59,40 @@ def rgg_svg(graph: FullGraph) -> str:
     return _document(body)
 
 
-def tradeoff_svg(config, grid_points: int = 257) -> str:
+def tradeoff_svg(config) -> str:
     """One sampled dataset, the true function and the estimator curve (d = 1).
 
-    The estimator curve evaluates the graph prediction at each grid point
-    against the same latent draw and the same edge uniforms, so the curve
-    shows pure bandwidth behavior rather than re-sampling noise.
+    The dataset is drawn the way ``sample_full_graph`` draws its nodes: n
+    latents from ``stream(seed, LATENT, 0)``, one edge uniform per node from
+    ``stream(seed, EDGE, 0)`` and the label noise from
+    ``stream(seed, NOISE, 0)``.  The estimator curve evaluates the graph
+    prediction at each of ``_GRID_POINTS`` grid points against the same
+    latents and the same edge uniforms, so the curve shows pure bandwidth
+    behavior rather than re-sampling noise.
     """
     if config.dimension != 1:
         raise InvalidInputError("tradeoff figures require a one-dimensional scenario")
-    sampler = NeighborhoodSampler(
-        config.density, config.kernel, config.regression, config.noise,
-        config.n, config.master_seed,
-    )
-    pts, unif, labels = sampler.batch(0, stop=1)
-    pts1 = pts[0, :, 0]
-    u = unif[0]
-    y = labels[0]
+    n, seed = config.n, config.master_seed
+    # points, uniforms, noise and labels, plus three rows per grid point at
+    # the peak: the edges, and predict_rows' copy of the labels and product
+    check_float_budget(n * (3 * _GRID_POINTS + 4), "a tradeoff figure of %d nodes", n)
+    pts = config.density.sample(rngmod.stream(seed, rngmod.LATENT, 0), (n,))
+    u = rngmod.stream(seed, rngmod.EDGE, 0).random(n)
+    y = config.regression.evaluate(pts) + config.noise.sample(
+        rngmod.stream(seed, rngmod.NOISE, 0), (n,))
 
     lo, hi = config.density.bounding_box()
-    gx = np.linspace(float(lo[0]), float(hi[0]), grid_points)
+    gx = np.linspace(float(lo[0]), float(hi[0]), _GRID_POINTS)
     f_true = config.regression.evaluate(gx[:, None])
 
-    edges = sampler.edges(gx[:, None, None], pts[0][None, :, :], u)
+    edges = (u < config.kernel.edge_probabilities(gx[:, None, None], pts[None])).astype(
+        np.float64)
     est, _ = predict_rows(np.broadcast_to(y, edges.shape), edges)
 
     y_all = np.concatenate([y, f_true, est])
     y_lo, y_hi = float(y_all.min()), float(y_all.max())
     sx = _scale(gx, float(lo[0]), float(hi[0]))
-    px = _scale(pts1, float(lo[0]), float(hi[0]))
+    px = _scale(pts[:, 0], float(lo[0]), float(hi[0]))
 
     def sy(vals):
         return _SIZE - _scale(np.asarray(vals), y_lo, y_hi)

@@ -68,8 +68,6 @@ __all__ = [
     "r_subset",
     "DecouplingReport",
     "decoupling_selftest",
-    "export_edges_csv",
-    "export_points_csv",
 ]
 
 
@@ -504,25 +502,3 @@ def decoupling_selftest(n: int) -> DecouplingReport:
         example = (pattern, (i,), j_set, _r_value(lhs), _r_value(rhs))
     return DecouplingReport(n, p + 1, first + 1, False, example)
 
-
-# ---------------------------------------------------------------------------
-# Exports
-# ---------------------------------------------------------------------------
-
-
-def export_edges_csv(graph: FullGraph, path) -> None:
-    """Undirected edge list: header src,dst with 0-based ids and i < j."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("src,dst\n" + "".join(f"{i},{j}\n" for i, j in graph.edges.tolist()))
-
-
-def export_points_csv(points: np.ndarray, path) -> None:
-    """Latent coordinates: header node,x0,...,x{d-1}."""
-    points = np.atleast_2d(points)
-    d = points.shape[1]
-    cols = ",".join(f"x{k}" for k in range(d))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"node,{cols}\n")
-        for idx, row in enumerate(points):
-            coords = ",".join(repr(float(v)) for v in row)
-            fh.write(f"{idx},{coords}\n")

@@ -264,10 +264,6 @@ class Density:
         """(count, d) iid points from p restricted to the window of ``window_mass``."""
         raise NotImplementedError
 
-    @property
-    def unbounded_support(self) -> bool:
-        return False
-
     # Geometry hints for adaptive quadrature: axis-aligned boundary planes
     # and boundary spheres of the support.
     def breakpoint_planes(self) -> list[list[float]]:
@@ -478,10 +474,6 @@ class GaussianDensity(Density):
         pts = np.asarray(self.mean) + self.stddev * np.where(flip, -z, z)
         return np.clip(pts, x - radius, x + radius)
 
-    @property
-    def unbounded_support(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class MixtureDensity(Density):
@@ -556,10 +548,6 @@ class MixtureDensity(Density):
             if sel.any():
                 out[sel] = dens.window_sample(rng, x, radius, int(np.count_nonzero(sel)))
         return out
-
-    @property
-    def unbounded_support(self) -> bool:
-        return any(dens.unbounded_support for _, dens in self.components)
 
     def breakpoint_planes(self):
         planes = [[] for _ in range(self.dim)]

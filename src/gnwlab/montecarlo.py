@@ -6,7 +6,11 @@ point.  One driver draws every batch once and runs the batches on a worker
 pool.  Batch boundaries and the final reduction order are fixed by the
 scenario and the query points alone, so every estimate is bit-identical
 across thread counts, and a query point's predictions do not depend on the
-other query points.  An exhaustive 2^n enumeration oracle over the
+other query points.  The scenario config is the only source of a run's
+parameters: the master seed, the model and, for the integrated risk, the
+outer/inner split; callers choose only the replication count R of a
+fixed-point run and the thread count.  Estimators take a
+:class:`PredictionBatch`.  An exhaustive 2^n enumeration oracle over the
 conditional edge distribution provides exact small-n expectations to check
 the Monte Carlo and the closed-form theory against.
 """
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import InvalidInputError, ResourceBudgetError
-from .estimators import Prediction, predict_rows
+from .estimators import predict_rows
 from .graph import NeighborhoodSampler, check_float_budget
 from .model import KernelSpec, as_point
 from .stats import wilson_halfwidth, wilson_interval
@@ -44,7 +48,8 @@ ORACLE_STREAM = 11
 
 @dataclass(frozen=True)
 class PredictionBatch:
-    """Column-oriented predictions; iterates as a stream of Prediction."""
+    """Column-oriented predictions, in replication order; mass 0 marks an
+    empty neighbourhood."""
 
     values: np.ndarray
     masses: np.ndarray
@@ -52,37 +57,20 @@ class PredictionBatch:
     def __len__(self):
         return self.values.shape[0]
 
-    def __getitem__(self, i) -> Prediction:
-        m = float(self.masses[i])
-        return Prediction(value=float(self.values[i]), mass=m, empty=m == 0.0)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
     @property
     def empty_mask(self) -> np.ndarray:
         return self.masses == 0.0
-
-    @staticmethod
-    def coerce(predictions) -> "PredictionBatch":
-        if isinstance(predictions, PredictionBatch):
-            return predictions
-        preds = list(predictions)
-        return PredictionBatch(
-            values=np.array([p.value for p in preds], dtype=float),
-            masses=np.array([p.mass for p in preds], dtype=float),
-        )
 
 
 @dataclass(frozen=True)
 class MCReport:
     """Replication summary with standard errors.
 
-    ``variance_proxy`` is the mean squared deviation from the smoothed
-    reference value b_n; ``standard_variance`` the mean squared deviation
-    from the sample mean.  Their difference is the analytically known gap
-    b_n^2 (1 - c_n)^{2n}.  ``mse`` is present only for pointwise-risk runs.
+    ``variance_proxy`` is the mean squared deviation from the reference value
+    the moments are taken about (the smoothed value b_n in the verify suites);
+    ``standard_variance`` the mean squared deviation from the sample mean.
+    About b_n their difference is the analytically known gap
+    b_n^2 (1 - c_n)^{2n}.  ``mse`` is present only for risk runs.
     """
 
     replications: int
@@ -90,8 +78,6 @@ class MCReport:
     variance_proxy: float
     standard_variance: float
     empty_frequency: float
-    seed: int
-    tail_frequencies: tuple[tuple[float, float], ...] = ()
     mse: float | None = None
     se_mean: float = 0.0
     se_variance_proxy: float = 0.0
@@ -136,52 +122,40 @@ def _map_replications(config, xs: np.ndarray, per_query: int,
     return PredictionBatch(values=values, masses=masses)
 
 
-def run_replications(config, x, R: int, master_seed: int | None = None,
-                     threads: int = 1) -> PredictionBatch:
-    """R independent neighborhood draws -> predictions, in replication order."""
+def run_replications(config, x, R: int, threads: int = 1) -> PredictionBatch:
+    """R independent neighborhood draws at x -> predictions, in replication order.
+
+    The draws come from the scenario's own master seed.
+    """
     if R < 1:
         raise InvalidInputError("R must be >= 1")
     x = as_point(x, dim=config.dimension)
-    if master_seed is not None and master_seed != config.master_seed:
-        config = replace(config, master_seed=int(master_seed))
     return _map_replications(config, x[None], R, threads)
 
 
-def estimate_moments(predictions, b_n_reference: float, seed: int = 0,
-                     deltas=()) -> MCReport:
-    """Sample moments of a prediction stream against the smoothed reference.
+def estimate_moments(batch: PredictionBatch, reference: float) -> MCReport:
+    """Sample moments of a prediction batch about a reference value.
 
-    With ``deltas`` given, the exceedance frequencies
-    P(|pred - b_n| >= delta) are attached to the report.
+    About b_n the second moment is the variance proxy E[(pred - b_n)^2];
+    about f(x) it is the pointwise risk E[(pred - f(x))^2]
+    (see ``estimate_pointwise_risk``).
     """
-    batch = PredictionBatch.coerce(predictions)
     R = len(batch)
     if R < 100:
         raise InvalidInputError(f"need at least 100 predictions, got {R}")
     v = batch.values
     mean = float(np.mean(v))
-    dev_b = v - b_n_reference
-    sq_b = dev_b * dev_b
-    proxy = float(np.mean(sq_b))
-    std_var = float(np.mean((v - mean) ** 2))
-    empty = float(np.count_nonzero(batch.empty_mask)) / R
-    sd_mean = float(np.std(v, ddof=1))
-    se_mean = sd_mean / math.sqrt(R)
-    se_proxy = float(np.std(sq_b, ddof=1)) / math.sqrt(R)
-    tails = tuple(
-        (t.delta, t.frequency) for t in estimate_tail(batch, b_n_reference, deltas)
-    ) if deltas else ()
+    dev = v - reference
+    sq = dev * dev
     return MCReport(
         replications=R,
         mean=mean,
-        variance_proxy=proxy,
-        standard_variance=std_var,
-        empty_frequency=empty,
-        seed=seed,
-        tail_frequencies=tails,
-        se_mean=se_mean,
-        se_variance_proxy=se_proxy,
-        b_n_reference=b_n_reference,
+        variance_proxy=float(np.mean(sq)),
+        standard_variance=float(np.mean((v - mean) ** 2)),
+        empty_frequency=float(np.count_nonzero(batch.empty_mask)) / R,
+        se_mean=float(np.std(v, ddof=1)) / math.sqrt(R),
+        se_variance_proxy=float(np.std(sq, ddof=1)) / math.sqrt(R),
+        b_n_reference=reference,
     )
 
 
@@ -194,12 +168,12 @@ class TailEstimate:
     se: float  # one-z Wilson halfwidth
 
 
-def estimate_tail(predictions, b_n_reference: float, deltas) -> list[TailEstimate]:
+def estimate_tail(batch: PredictionBatch, b_n_reference: float,
+                  deltas) -> list[TailEstimate]:
     """Empirical exceedance frequencies P(|pred - b_n| >= delta) with Wilson CIs."""
     deltas = [float(d) for d in deltas]
     if any(d <= 0 for d in deltas) or deltas != sorted(deltas):
         raise InvalidInputError("deltas must be positive and sorted")
-    batch = PredictionBatch.coerce(predictions)
     R = len(batch)
     dev = np.abs(batch.values - b_n_reference)
     out = []
@@ -210,41 +184,42 @@ def estimate_tail(predictions, b_n_reference: float, deltas) -> list[TailEstimat
     return out
 
 
-def estimate_pointwise_risk(config, x, R: int, seed: int | None = None,
-                            threads: int = 1) -> MCReport:
-    """Moments plus squared-error risk (mean of (pred - f(x))^2) at one point."""
+def estimate_pointwise_risk(config, x, R: int, threads: int = 1) -> MCReport:
+    """Moments about b_n plus the squared-error risk E[(pred - f(x))^2] at one point.
+
+    The risk is the second moment of the same batch taken about f(x) instead
+    of b_n.
+    """
     if R < 100:
         raise InvalidInputError("R must be >= 100")
     x = as_point(x, dim=config.dimension)
-    batch = run_replications(config, x, R, master_seed=seed, threads=threads)
+    batch = run_replications(config, x, R, threads=threads)
     b_n, _ = smoothed_value(config.density, config.kernel, config.regression, x)
-    report = estimate_moments(batch, b_n, seed=config.master_seed if seed is None else seed)
-    fx = config.regression.eval_one(x)
-    errs = (batch.values - fx) ** 2
-    mse = float(np.mean(errs))
-    se_mse = float(np.std(errs, ddof=1)) / math.sqrt(R)
-    return replace(report, mse=mse, se_mse=se_mse)
+    risk = estimate_moments(batch, config.regression.eval_one(x))
+    return replace(estimate_moments(batch, b_n), mse=risk.variance_proxy,
+                   se_mse=risk.se_variance_proxy)
 
 
-def estimate_integrated_risk(config, R_outer: int, R_inner: int,
-                             seed: int | None = None, threads: int = 1) -> MCReport:
+def estimate_integrated_risk(config, threads: int = 1) -> MCReport:
     """Doubly averaged squared-error risk over query points drawn from p.
 
-    Outer draws x_j ~ p come from their own stream; inner replication i at
-    x_j is replication i of query index j, drawn from x_j's own window
-    batches.  Sparsity (alpha) sweeps and noise-model changes see common
-    random numbers; bandwidth and n sweeps draw fresh windows at every
-    value.  The confidence interval comes from the outer sample variance of
-    the inner means (which already contains the inner noise).
+    The config's integrated query sets the split: ``query.outer`` draws
+    x_j ~ p from their own stream, and inner replication i at x_j, one of
+    ``query.inner``, is replication i of query index j, drawn from x_j's own
+    window batches.  Sparsity (alpha) sweeps and noise-model changes see
+    common random numbers; bandwidth and n sweeps draw fresh windows at
+    every value.  The confidence interval comes from the outer sample
+    variance of the inner means (which already contains the inner noise).
     """
+    if not config.query.integrated:
+        raise InvalidInputError("the integrated risk needs an integrated query "
+                                "(an outer/inner replication split)")
+    R_outer, R_inner = config.query.outer, config.query.inner
     if R_outer < 10 or R_inner < 10:
-        raise InvalidInputError("R_outer and R_inner must both be >= 10")
-    if seed is not None and seed != config.master_seed:
-        config = replace(config, master_seed=int(seed))
-    master = config.master_seed
+        raise InvalidInputError("query.outer and query.inner must both be >= 10")
     check_float_budget(R_outer * (config.dimension + 1), "an outer draw of %d query points",
                        R_outer)
-    xs = config.density.sample(rngmod.stream(master, rngmod.QUERY, 0), (R_outer,))
+    xs = config.density.sample(rngmod.stream(config.master_seed, rngmod.QUERY, 0), (R_outer,))
     fxs = config.regression.evaluate(xs)
 
     batch = _map_replications(config, xs, R_inner, threads)
@@ -253,19 +228,15 @@ def estimate_integrated_risk(config, R_outer: int, R_inner: int,
 
     errs = (values.reshape(R_outer, R_inner) - fxs[:, None]) ** 2
     inner_means = errs.mean(axis=1)
-    mise = float(inner_means.mean())
-    se = float(np.std(inner_means, ddof=1)) / math.sqrt(R_outer)
-    empty = float(np.count_nonzero(batch.empty_mask)) / R
     mean = float(values.mean())
     return MCReport(
         replications=R,
         mean=mean,
         variance_proxy=float("nan"),
         standard_variance=float(np.mean((values - mean) ** 2)),
-        empty_frequency=empty,
-        seed=master,
-        mse=mise,
-        se_mse=se,
+        empty_frequency=float(np.count_nonzero(batch.empty_mask)) / R,
+        mse=float(inner_means.mean()),
+        se_mse=float(np.std(inner_means, ddof=1)) / math.sqrt(R_outer),
     )
 
 

@@ -40,11 +40,6 @@ class QuadResult:
     error: float
     evaluations: int
 
-    def __add__(self, other):
-        return QuadResult(
-            self.value + other.value, self.error + other.error, self.evaluations + other.evaluations
-        )
-
 
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)

@@ -33,6 +33,7 @@ from .model import (
     Regression,
     UniformBall,
     UniformCube,
+    _ball_points,
     as_point,
     unit_ball_volume,
 )
@@ -317,23 +318,13 @@ class BandwidthRange:
 
 @dataclass(frozen=True)
 class RiskBoundReport:
+    """Risk bounds; ``bandwidth`` is the window on which the integrated bound
+    stays below a requested epsilon, None without one or when it is empty."""
+
     pointwise_bound: float
     integrated_bound: float
-    holder_integrated_bound: float | None = None
-    bandwidth_interval: tuple[float, float] | None = None
-    rate_bound: float | None = None
+    bandwidth: BandwidthRange | None = None
     quadrature_error: float = 0.0
-
-
-def _bandwidth_window(c1, c2, gamma, delta, n_alpha, epsilon, rate_exponent):
-    """(interval, rate bound) where C1 h^gamma + C2/(n alpha h^delta) <= epsilon,
-    or (None, None) without an epsilon or when that window is empty."""
-    if epsilon is None:
-        return None, None
-    rng = bandwidth_admissible_range(c1, c2, gamma, delta, n_alpha, epsilon, r=rate_exponent)
-    if rng is None:
-        return None, None
-    return (rng.lo, rng.hi), rng.rate_bound
 
 
 def uniform_density_risk_bound(*, L, a, M2, B, sigma_sq, c0, d, M1, n, alpha, h, p0,
@@ -355,11 +346,10 @@ def uniform_density_risk_bound(*, L, a, M2, B, sigma_sq, c0, d, M1, n, alpha, h,
     c2 = (1044.0 * B ** 2 + 260.0 * sigma_sq) / (
         p0 * c0 * unit_ball_volume(int(d)) * M1 ** d
     )
-    interval, rate = (None, None) if c1 <= 0 else _bandwidth_window(
-        c1, c2, 2.0 * a, d, n * alpha, epsilon, rate_exponent,
+    window = None if c1 <= 0 or epsilon is None else bandwidth_admissible_range(
+        c1, c2, 2.0 * a, d, n * alpha, epsilon, r=rate_exponent,
     )
-    return RiskBoundReport(pointwise_bound=value, integrated_bound=value,
-                           bandwidth_interval=interval, rate_bound=rate)
+    return RiskBoundReport(pointwise_bound=value, integrated_bound=value, bandwidth=window)
 
 
 def holder_density_risk_bound(*, L, a, M2, B, sigma_sq, c0, d, M1, n, alpha, h, beta,
@@ -407,16 +397,11 @@ def holder_density_risk_bound(*, L, a, M2, B, sigma_sq, c0, d, M1, n, alpha, h, 
         L=L, a=a, M2=M2, B=B, sigma_sq=sigma_sq, c0=c0, d=d, M1=M1,
         n=n, alpha=alpha, h=h, p0=p0 if p0 is not None else L_density * M1**beta * h**beta,
     )
-    interval, rate = _bandwidth_window(c1, c2, min(2.0 * a, beta / 2.0), d + beta, n * alpha,
-                                       epsilon, rate_exponent)
-    return RiskBoundReport(
-        pointwise_bound=pw,
-        integrated_bound=value,
-        holder_integrated_bound=value,
-        bandwidth_interval=interval,
-        rate_bound=rate,
-        quadrature_error=q_err,
+    window = None if epsilon is None else bandwidth_admissible_range(
+        c1, c2, min(2.0 * a, beta / 2.0), d + beta, n * alpha, epsilon, r=rate_exponent,
     )
+    return RiskBoundReport(pointwise_bound=pw, integrated_bound=value, bandwidth=window,
+                           quadrature_error=q_err)
 
 
 def bandwidth_admissible_range(C1, C2, gamma, Delta, n_alpha, epsilon, r=None):
@@ -469,13 +454,7 @@ def measure_retaining_estimate(density: Density, x, r: float, sample_count: int,
         raise InvalidInputError("sample_count must be >= 100")
     if not bool(density.support_contains(x[None, :])[0]):
         raise InvalidInputError("x must lie in the support")
-    gen = rngmod.stream(seed, 71, 0)
-    d = density.dim
-    direction = gen.standard_normal((sample_count, d))
-    norms = np.linalg.norm(direction, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    radii = r * gen.random((sample_count, 1)) ** (1.0 / d)
-    pts = x + direction / norms * radii
+    pts = _ball_points(rngmod.stream(seed, 71, 0), x, r, (sample_count,))
     hits = int(np.count_nonzero(density.support_contains(pts)))
     lo, hi = wilson_interval(hits, sample_count)
     return RetentionEstimate(hits / sample_count, lo, hi, sample_count)

@@ -321,7 +321,7 @@ def test_criterion_09_risk_bounds():
     cfg = unit_interval_scenario(n=50, h=0.1, regression=IDENTITY,
                                  noise=GaussianNoise(stddev=1.0),
                                  integrated=(100, 50), master_seed=49_900)
-    mise = estimate_integrated_risk(cfg, 100, 50, threads=2)
+    mise = estimate_integrated_risk(cfg, threads=2)
     bound = pointwise_risk_bound(L=1.0, a=1.0, M2=1.0, B=1.0, sigma_sq=1.0, c0=0.5,
                                  d=1, M1=1.0, n=50, alpha=1.0, h=0.1, p0=1.0)
     assert mise.mse <= bound + 3.0 * mise.se_mse
@@ -349,7 +349,7 @@ def test_criterion_10_tradeoff_u_shape():
     se = {}
     for h in hs:
         cfg = replace(base, kernel=replace(base.kernel, h=h))
-        rep = estimate_integrated_risk(cfg, 192, 64, threads=2)
+        rep = estimate_integrated_risk(cfg, threads=2)
         mise[h], se[h] = rep.mse, rep.se_mse
     h_star = min(hs, key=lambda h: mise[h])
     z = 2.5758293035489004

@@ -11,9 +11,9 @@ import pytest
 
 import gnwlab
 from gnwlab import theory
-from gnwlab.cli import SWEEP_HEADER, VERIFY_HEADER, cmd_verify, main
+from gnwlab.cli import SUITES, SWEEP_HEADER, VERIFY_HEADER, cmd_verify, main
 from gnwlab.model import KernelSpec, LinearFunction, NoNoise, TriangleKernel, UniformBall
-from gnwlab.scenario import QuerySpec, ScenarioConfig, ScenarioConstants
+from gnwlab.scenario import QuerySpec, ScenarioConfig, ScenarioConstants, parse_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -49,11 +49,27 @@ def test_verify_passes_on_shipped_configs(suite, config, tmp_path):
     lines = text.splitlines()
     assert code == 0, text
     assert lines[0] == VERIFY_HEADER
-    for line in lines[1:]:
+    brackets = []
+    if suite == "degree_ratio":
+        cfg = parse_config(_cfg(config))
+        brackets = [theory.lebesgue_ratio_bracket(cfg.density, cfg.kernel, x)
+                    for x in cfg.query_points]
+    for i, line in enumerate(lines[1:]):
         fields = line.split(",")
         assert len(fields) == 5
-        float(fields[1]), float(fields[2]), float(fields[3])
+        name = fields[0]
+        theory_value, empirical, slack = map(float, fields[1:4])
         assert fields[4] == "pass"
+        # the verdict follows from the columns by the row's side
+        if name.startswith(("variance_lower", "degree_ratio_lower")):
+            assert empirical >= theory_value - slack, line
+        elif name.startswith(("expectation", "decoupling")):
+            assert abs(empirical - theory_value) <= slack, line
+        else:
+            assert empirical <= theory_value + slack, line
+        if name.startswith("degree_ratio_"):
+            lo, hi = brackets[i // 2]
+            assert theory_value == (lo if "_lower@" in name else hi), line
 
 
 def test_verify_byte_identical_across_threads(tmp_path):
@@ -415,22 +431,151 @@ def test_verification_failure_exit_code(tmp_path):
     assert ",fail" in text
 
 
-# sha256 of the outputs that still use the full n-point sampler; Monte Carlo
-# verify and sweep outputs use window draws instead.
-FULL_SAMPLER_SHA256 = {
-    ("selftest",): "7b503f2335027959c2e9f3ff8e8584138b1849dde4269d4ebbec0e78e33f5816",
-    ("figure", "--config", _cfg("figure_rgg.json"), "--kind", "rgg"):
-        "c0eebcb39acea0c4ed30a7253a28468cc4fc22238b0be57ce08f11e5d6c224fb",
-    ("figure", "--config", _cfg("figure_tradeoff.json"), "--kind", "tradeoff"):
-        "6142773ad956543427b6ce31239cd96a5872fd0d82cfc9c07bd11b4cb73cc984",
+# (exit code, sha256 of the output) of each suite, in SUITES order, on every
+# shipped config at --replications 2000; None where the command exits 2 and
+# writes nothing.
+VERIFY_SHA256 = {
+    "bias.json": [
+        (0, "f9ef575631913c04f9e707595c321e9b5298c70fb98bca8f63b874888e22f476"),
+        (0, "b1c9fa59c0d15c4a64de257dd37b15a6342e5024f223abbb3c8468bd06e299a9"),
+        (0, "136181a0f352a7c01d99bf0da443ee81e53f1ea0cf6dded97e37ee49b99e257e"),
+        (0, "941264643e155d009de3aaa403415186f0b55b9300492f1235ef36e5f00f513d"),
+        (0, "93ddb929becd8f53b39ddbb82e2bf2f5134d6d95b2e0850ee2d4b2122c5bd776"),
+        (0, "7b503f2335027959c2e9f3ff8e8584138b1849dde4269d4ebbec0e78e33f5816"),
+        (0, "267deb730fa1dfa346fd0cb006bda4dbd6f4093ca4c4fa5a78d4dae707536155"),
+    ],
+    "concentration.json": [
+        (0, "67748c97430dcfbb136823958e2c00c858014ce3ab2d23dd86964d7c91d3180a"),
+        (0, "a08060870bf1cff2277cfd83afe5d2573d524e85edeb6fedb3672544d3059f99"),
+        (0, "b88d8f76cb57f1669525e0fd4c88c7d3c78a87e30e2c9029db8dbb1d62c94782"),
+        (0, "ddbe9cfbd9d2931a96905dc2253c8e7e92672b5eebb64df57340da0c52731a3e"),
+        (0, "ac2f6ebd87a059fb88c461043b36c5a7d748ff6287d151f1dedc8b3d91694acc"),
+        (0, "7b503f2335027959c2e9f3ff8e8584138b1849dde4269d4ebbec0e78e33f5816"),
+        (0, "b0eaaf1967ea84d22a13ee22744ab4fdf62d2220649050e52ceff7feae00bd74"),
+    ],
+    "degree_ratio.json": [
+        (0, "a20128b44745042fd61749e6daf012c49c45f8b7d5c0be7065e73c70999c9406"),
+        (0, "6270a30686851e6a74c4592e7aac13a35d0ec0a0b53bb069e935b0c239df6400"),
+        (0, "ff386d624ac89dc1434c11aaa88704406cd547d7b3bfa5aeaa7536fd56e36f25"),
+        (0, "ddbe9cfbd9d2931a96905dc2253c8e7e92672b5eebb64df57340da0c52731a3e"),
+        (0, "feac882f33fef0b6f01ce99add8ff9886b9b6ef36ebba19625b245dcf5021edf"),
+        (0, "7b503f2335027959c2e9f3ff8e8584138b1849dde4269d4ebbec0e78e33f5816"),
+        (0, "b0eaaf1967ea84d22a13ee22744ab4fdf62d2220649050e52ceff7feae00bd74"),
+    ],
+    "degree_ratio_gaussian.json": [
+        (0, "90aedc89e787030815cc4b871ebee1fa4a10b3a253d1b674d2c20334faaf8b6d"),
+        (0, "bdede103711734b251e7330e34786a1744f598bda4c093b66b01943631028a35"),
+        (0, "4b4561939d52f029ae56adfc8bc9fc1ae2299c826777ba1366b775d6bb38131a"),
+        (0, "e7d61d4a1cf35aae59ffabd37a729c317f1c51c1e4a31488f0702bb29c74849b"),
+        (0, "2c2214fb6d13265dca812d7a24acb2d5831c167db35c7810c8738764f1f66299"),
+        (0, "7b503f2335027959c2e9f3ff8e8584138b1849dde4269d4ebbec0e78e33f5816"),
+        (0, "8a1b1a0009daabcc2f36afa2be986ca5e25c4975dd5ea2201197bde529e11867"),
+    ],
+    "expectation.json": [
+        (0, "a20128b44745042fd61749e6daf012c49c45f8b7d5c0be7065e73c70999c9406"),
+        (0, "6270a30686851e6a74c4592e7aac13a35d0ec0a0b53bb069e935b0c239df6400"),
+        (0, "ff386d624ac89dc1434c11aaa88704406cd547d7b3bfa5aeaa7536fd56e36f25"),
+        (0, "ddbe9cfbd9d2931a96905dc2253c8e7e92672b5eebb64df57340da0c52731a3e"),
+        (0, "feac882f33fef0b6f01ce99add8ff9886b9b6ef36ebba19625b245dcf5021edf"),
+        (0, "7b503f2335027959c2e9f3ff8e8584138b1849dde4269d4ebbec0e78e33f5816"),
+        (0, "b0eaaf1967ea84d22a13ee22744ab4fdf62d2220649050e52ceff7feae00bd74"),
+    ],
+    "figure_rgg.json": [
+        (0, "ea05a60c7610f9c5357ac4b1fc6117a9611fc71355397e9b282d6d7af90ced70"),
+        (0, "d8287f11e54267e59b3fd0eaf2704a885f6af76832da48a31bc69861d5dc5723"),
+        (0, "69aa70c5372d9b0f8daef3962002a9f556f5add767da449c8e7e104a172d0cd2"),
+        (0, "7ad54c33cad64f6d64cfe17440d57f876ea7be2e8e9c9360850063d34e602fc7"),
+        (2, None),
+        (0, "7b503f2335027959c2e9f3ff8e8584138b1849dde4269d4ebbec0e78e33f5816"),
+        (0, "945d98d136cf467de12fa467b9a81620403d9cd8dbe2e4d2ef26a31bc26f8501"),
+    ],
+    "figure_tradeoff.json": [
+        (0, "038201e153e27bc040e22d27cac1a26fce6b713232b6781edbb5bceb05665cfc"),
+        (0, "ac70f3aa3129d324e834ada1917c1114aceffd6b8ffdb1d5036769729f36ac48"),
+        (2, None),
+        (0, "96f22036fe08137d26d247b392e4f394f14f004d4c8c0d9ae5d8c72872532d80"),
+        (2, None),
+        (0, "7b503f2335027959c2e9f3ff8e8584138b1849dde4269d4ebbec0e78e33f5816"),
+        (0, "b0eaaf1967ea84d22a13ee22744ab4fdf62d2220649050e52ceff7feae00bd74"),
+    ],
+    "risk_integrated.json": [
+        (2, None),
+        (2, None),
+        (2, None),
+        (2, None),
+        (0, "de4794bccb4f69036eafac3befc684fc1722e73cadf82e95c140742c96a01072"),
+        (0, "7b503f2335027959c2e9f3ff8e8584138b1849dde4269d4ebbec0e78e33f5816"),
+        (2, None),
+    ],
+    "risk_pointwise.json": [
+        (0, "1c78cc6024e47e21efb2906988973e1f665025986a8cb0596f7c6dae4efabc54"),
+        (0, "6e666ba3c24f1aaed425c4b1ccee0181c48cbce58726ef1cad0bb58575fa720f"),
+        (2, None),
+        (0, "ddbe9cfbd9d2931a96905dc2253c8e7e92672b5eebb64df57340da0c52731a3e"),
+        (0, "8b85677a068df02d49457c6e14f9fb7c8ca796e52356b8f48b37bd8cc55e500a"),
+        (0, "7b503f2335027959c2e9f3ff8e8584138b1849dde4269d4ebbec0e78e33f5816"),
+        (0, "b0eaaf1967ea84d22a13ee22744ab4fdf62d2220649050e52ceff7feae00bd74"),
+    ],
+    "sweep.json": [
+        (2, None),
+        (2, None),
+        (2, None),
+        (2, None),
+        (0, "ceffce4eec6372e20b89294269ab94ed65db5e0592d6d2d994f99268466ac35e"),
+        (0, "7b503f2335027959c2e9f3ff8e8584138b1849dde4269d4ebbec0e78e33f5816"),
+        (2, None),
+    ],
+    "variance.json": [
+        (0, "7148d5abc1b650ede753b29ea12c2a4e75212aaab42b8f9bd262cb58fa17706d"),
+        (0, "a189024e17b1d90a407ffbe58f63fd5bc3d23a0f7e17a061ae08ac36f30409a9"),
+        (2, None),
+        (0, "ddbe9cfbd9d2931a96905dc2253c8e7e92672b5eebb64df57340da0c52731a3e"),
+        (0, "18931d49516b755dfc7063fd498b69f2722948cd3b6395f89f24d8c5fe2ae3e5"),
+        (0, "7b503f2335027959c2e9f3ff8e8584138b1849dde4269d4ebbec0e78e33f5816"),
+        (0, "b0eaaf1967ea84d22a13ee22744ab4fdf62d2220649050e52ceff7feae00bd74"),
+    ],
 }
+_SWEEP = ("sweep", "--config", _cfg("sweep.json"), "--parameter", "h",
+          "--values", "0.02,0.05,0.1,0.2,0.4")
+_SWEEP_SHA256 = "56da42ccb0c1f0a2f7003b427bde78507fca750f817186e8f201d7d8b92d2c73"
+
+# (exit code, sha256 of the output) of the pinned commands: the full-graph and
+# tradeoff figures, selftest, the sweep at both thread counts and the verify
+# matrix above.  Any change to these bytes must be deliberate.
+FULL_SAMPLER_SHA256 = {
+    ("selftest",):
+        (0, "7b503f2335027959c2e9f3ff8e8584138b1849dde4269d4ebbec0e78e33f5816"),
+    ("figure", "--config", _cfg("figure_rgg.json"), "--kind", "rgg"):
+        (0, "c0eebcb39acea0c4ed30a7253a28468cc4fc22238b0be57ce08f11e5d6c224fb"),
+    ("figure", "--config", _cfg("figure_tradeoff.json"), "--kind", "tradeoff"):
+        (0, "6142773ad956543427b6ce31239cd96a5872fd0d82cfc9c07bd11b4cb73cc984"),
+    (*_SWEEP, "--threads", "1"): (0, _SWEEP_SHA256),
+    (*_SWEEP, "--threads", "2"): (0, _SWEEP_SHA256),
+    ("verify", "--config", _cfg("risk_integrated.json"), "--suite", "risk", "--threads", "2"):
+        (0, "de4794bccb4f69036eafac3befc684fc1722e73cadf82e95c140742c96a01072"),
+}
+for _config, _pins in VERIFY_SHA256.items():
+    for _suite, _pin in zip(SUITES, _pins, strict=True):
+        FULL_SAMPLER_SHA256[("verify", "--config", _cfg(_config), "--suite", _suite,
+                             "--replications", "2000")] = _pin
+_PINNED_IDS = ["selftest", "rgg", "tradeoff", "sweep-threads1", "sweep-threads2",
+               "risk_integrated-threads2",
+               *(f"{c}:{s}" for c in VERIFY_SHA256 for s in SUITES)]
 
 
-@pytest.mark.parametrize("argv", FULL_SAMPLER_SHA256, ids=["selftest", "rgg", "tradeoff"])
+def test_every_shipped_config_is_pinned():
+    assert sorted(VERIFY_SHA256) == sorted(os.listdir(CONFIG_DIR))
+
+
+@pytest.mark.parametrize("argv", FULL_SAMPLER_SHA256, ids=_PINNED_IDS)
 def test_full_sampler_outputs_pinned(argv, tmp_path):
     out = tmp_path / "out"
-    assert _run(*argv, "--out", str(out)) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == FULL_SAMPLER_SHA256[argv]
+    code, sha = FULL_SAMPLER_SHA256[argv]
+    assert _run(*argv, "--out", str(out)) == code
+    if sha is None:
+        assert not out.exists()
+    else:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
 
 def test_float_budget_is_usage_error(tmp_path, capsys):
@@ -443,6 +588,15 @@ def test_float_budget_is_usage_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "budget" in err
+    # The tradeoff figure's budget counts its grid rows too.
+    payload = json.loads(open(_cfg("figure_tradeoff.json")).read())
+    payload["n"] = 600_000  # 600,000 x 775 float64 values, above 1 GiB
+    big.write_text(json.dumps(payload))
+    code = _run("figure", "--config", str(big), "--kind", "tradeoff",
+                "--out", str(tmp_path / "t.svg"))
+    assert code == 2
+    _one_line_error(capsys, "a tradeoff figure of 600000 nodes", "budget")
+    assert not (tmp_path / "t.svg").exists()
 
 
 def test_rgg_pair_budget_is_usage_error(tmp_path, capsys):

@@ -102,9 +102,8 @@ def test_bounded_predictions_under_bounded_noise():
         noise=BoundedUniformNoise(sigma_b=0.5),
     )
     ceiling = cfg.regression.bound + cfg.noise.bound
-    for p in run_replications(cfg, [0.4], 200):
-        if not p.empty:
-            assert abs(p.value) <= ceiling * (1.0 + 1e-12)
+    batch = run_replications(cfg, [0.4], 200)
+    assert np.all(np.abs(batch.values[~batch.empty_mask]) <= ceiling * (1.0 + 1e-12))
 
 
 def test_gnw_nw_coincide_for_indicator_smoke(rng):

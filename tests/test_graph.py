@@ -13,8 +13,6 @@ from gnwlab.graph import (
     DecouplingReport,
     NeighborhoodSampler,
     decoupling_selftest,
-    export_edges_csv,
-    export_points_csv,
     r_subset,
     sample_full_graph,
     sample_neighborhood,
@@ -683,27 +681,3 @@ def test_decoupling_known_case():
     edges = (1, 0, 1)
     assert r_subset(edges, ()) * edges[0] == r_subset(edges, (0,)) * edges[0] == 0.5
 
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-
-def test_export_schemas(tmp_path):
-    g = sample_full_graph(UniformCube(lo=(0.0, 0.0), hi=(1.0, 1.0)),
-                          KernelSpec(IndicatorKernel(), alpha=1.0, h=0.3), 20, seed=5)
-    epath = tmp_path / "edges.csv"
-    ppath = tmp_path / "points.csv"
-    export_edges_csv(g, epath)
-    export_points_csv(g.points, ppath)
-    elines = epath.read_text().splitlines()
-    edges = set(g.edge_list())
-    assert elines[0] == "src,dst"
-    for line in elines[1:]:
-        i, j = map(int, line.split(","))
-        assert 0 <= i < j < 20
-        assert (i, j) in edges
-    assert len(elines) - 1 == len(g.edges)
-    plines = ppath.read_text().splitlines()
-    assert plines[0] == "node,x0,x1"
-    assert len(plines) == 21

@@ -102,7 +102,7 @@ def test_threads_below_one_rejected(threads):
     with pytest.raises(InvalidInputError, match="threads"):
         estimate_pointwise_risk(cfg, [0.5], 100, threads=threads)
     with pytest.raises(InvalidInputError, match="threads"):
-        estimate_integrated_risk(cfg, 10, 10, threads=threads)
+        estimate_integrated_risk(cfg, threads=threads)
 
 
 def test_constant_function_predictions_binary():
@@ -168,14 +168,6 @@ def test_tail_examples():
     assert tails2[0].frequency == pytest.approx(expected, abs=1e-12)
 
 
-def test_moments_attach_tail_frequencies():
-    cfg = unit_interval_scenario(n=10, noise=GaussianNoise(stddev=0.5))
-    batch = run_replications(cfg, [0.5], 5000)
-    rep = estimate_moments(batch, 1.0, deltas=(0.5, 1.0))
-    assert len(rep.tail_frequencies) == 2
-    assert rep.tail_frequencies[0][1] >= rep.tail_frequencies[1][1]
-
-
 def test_tail_validation():
     preds = PredictionBatch(values=np.zeros(200), masses=np.ones(200))
     with pytest.raises(InvalidInputError):
@@ -203,14 +195,14 @@ def test_pointwise_risk_constant_function():
 def test_integrated_risk_zero_function():
     cfg = unit_interval_scenario(n=10, regression=ConstantFunction(0.0),
                                  integrated=(20, 10))
-    rep = estimate_integrated_risk(cfg, 20, 10)
+    rep = estimate_integrated_risk(cfg)
     assert rep.mse == 0.0
 
 
 def test_integrated_risk_dominates_min_pointwise():
     cfg = unit_interval_scenario(n=20, regression=IDENTITY,
                                  noise=GaussianNoise(stddev=0.5), integrated=(40, 25))
-    mise = estimate_integrated_risk(cfg, 40, 25)
+    mise = estimate_integrated_risk(cfg)
     best = min(
         estimate_pointwise_risk(cfg, [x], 1000).mse for x in (0.3, 0.5, 0.7)
     )
@@ -218,16 +210,18 @@ def test_integrated_risk_dominates_min_pointwise():
 
 
 def test_integrated_risk_validation():
-    cfg = unit_interval_scenario(n=10, integrated=(20, 10))
+    cfg = unit_interval_scenario(n=10, integrated=(5, 10))
     with pytest.raises(InvalidInputError):
-        estimate_integrated_risk(cfg, 5, 10)
+        estimate_integrated_risk(cfg)
+    with pytest.raises(InvalidInputError, match="integrated query"):
+        estimate_integrated_risk(unit_interval_scenario(n=10))
 
 
 def test_integrated_risk_thread_invariance():
     cfg = unit_interval_scenario(n=50, regression=IDENTITY,
                                  noise=GaussianNoise(stddev=1.0), integrated=(30, 20))
-    a = estimate_integrated_risk(cfg, 30, 20, threads=1)
-    b = estimate_integrated_risk(cfg, 30, 20, threads=2)
+    a = estimate_integrated_risk(cfg, threads=1)
+    b = estimate_integrated_risk(cfg, threads=2)
     assert (a.mse, a.se_mse, a.mean, a.empty_frequency) == \
         (b.mse, b.se_mse, b.mean, b.empty_frequency)
 
@@ -315,7 +309,7 @@ def test_mise_depends_on_n_alpha_product():
         cfg = unit_interval_scenario(n=n, alpha=alpha, h=0.1, regression=IDENTITY,
                                      noise=GaussianNoise(stddev=0.5),
                                      integrated=(150, 40), master_seed=61_000 + n)
-        rep = estimate_integrated_risk(cfg, 150, 40)
+        rep = estimate_integrated_risk(cfg)
         mises.append((rep.mse, rep.se_mse))
     for (m, s), (m2, s2) in zip(mises[:-1], mises[1:]):
         assert abs(m - m2) <= 3.0 * math.hypot(s, s2) + 0.05 * max(m, m2)
@@ -336,7 +330,7 @@ def test_mise_within_admissible_bandwidth_window():
     cfg = unit_interval_scenario(n=n, alpha=alpha, h=h, regression=IDENTITY,
                                  noise=GaussianNoise(stddev=0.5),
                                  integrated=(100, 30), master_seed=62_000)
-    rep = estimate_integrated_risk(cfg, 100, 30)
+    rep = estimate_integrated_risk(cfg)
     assert rep.mse + 3.0 * rep.se_mse <= eps
 
 
@@ -355,12 +349,3 @@ def test_tail_scales_inverse_degree_via_chebyshev():
         bound = variance_upper_bound(1.0, 1.0, d_n) / delta**2
         assert tails[0].frequency <= bound + 3.0 * tails[0].se
 
-
-def test_prediction_batch_roundtrip():
-    cfg = unit_interval_scenario(n=10)
-    batch = run_replications(cfg, [0.5], 500)
-    rebuilt = PredictionBatch.coerce(list(batch))
-    assert np.array_equal(rebuilt.values, batch.values)
-    rep1 = estimate_moments(batch, 1.0)
-    rep2 = estimate_moments(rebuilt, 1.0)
-    assert rep1.variance_proxy == rep2.variance_proxy

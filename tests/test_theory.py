@@ -300,7 +300,7 @@ def test_integrated_risk_uniform_variant():
     )
     assert rep.integrated_bound == pytest.approx(6.56, rel=1e-12)
     assert rep.pointwise_bound == rep.integrated_bound
-    assert rep.bandwidth_interval is None  # no epsilon requested
+    assert rep.bandwidth is None  # no epsilon requested
     with pytest.raises(InvalidInputError, match="r0"):
         uniform_density_risk_bound(
             L=1, a=1, M2=1, B=1, sigma_sq=1, c0=1, d=1, M1=1,
@@ -313,13 +313,13 @@ def test_integrated_risk_attaches_bandwidth_window():
         L=1, a=1, M2=1, B=1, sigma_sq=1, c0=1, d=1, M1=1,
         n=1000, alpha=1, h=0.1, p0=1, r0=1.0, epsilon=20.0, rate_exponent=0.5,
     )
-    assert rep.bandwidth_interval is not None
-    lo, hi = rep.bandwidth_interval
+    assert rep.bandwidth is not None
+    lo, hi = rep.bandwidth.lo, rep.bandwidth.hi
     assert 0.0 < lo <= hi
     c1, c2 = 4.0, 1304.0 / 2.0
     for h in (lo, hi):
         assert c1 * h**2 + c2 / (1000 * h) <= 20.0 * (1.0 + 1e-9)
-    assert rep.rate_bound == pytest.approx(2.0 * c1**(1/3) * c2**(2/3) / 1000**0.5)
+    assert rep.bandwidth.rate_bound == pytest.approx(2.0 * c1**(1/3) * c2**(2/3) / 1000**0.5)
 
 
 def test_sqrt_density_integral_gaussian():
@@ -338,7 +338,7 @@ def test_integrated_risk_holder_variant():
     c1 = max(4.0, 4.0 * math.sqrt(0.25) * i_sqrtp)
     c2 = 1044.0 / (1.0 * 2.0 * 0.25 * 1.0)
     expected = c1 * 0.1 ** min(2.0, 0.5) + c2 / (1000 * 0.1**2)
-    assert rep.holder_integrated_bound == pytest.approx(expected, rel=1e-8)
+    assert rep.integrated_bound == pytest.approx(expected, rel=1e-8)
     with pytest.raises(InvalidInputError, match="h < min"):
         holder_density_risk_bound(
             L=1.0, a=1.0, M2=1.0, B=1.0, sigma_sq=0.0, c0=1.0,
