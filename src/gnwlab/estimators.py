@@ -43,11 +43,13 @@ def predict_rows(labels: np.ndarray, weights: np.ndarray):
     Returns (values, masses): value_r = sum_i y_ri w_ri / sum_i w_ri, with 0
     where the weight row sums to 0.  numpy's pairwise reduction keeps the
     accumulation error O(log n) and the result independent of how rows are
-    grouped into batches.
+    grouped into batches.  The weights and the product are C-ordered because
+    numpy sums a row pairwise only when the row runs along the last axis in
+    memory; the labels may be a broadcast row, which is not copied.
     """
-    labels = np.ascontiguousarray(labels, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
-    num = np.sum(labels * weights, axis=-1)
+    num = np.sum(np.multiply(labels, weights, order="C"), axis=-1)
     mass = np.sum(weights, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         values = np.where(mass > 0.0, num / np.where(mass > 0.0, mass, 1.0), 0.0)

@@ -73,9 +73,9 @@ def tradeoff_svg(config) -> str:
     if config.dimension != 1:
         raise InvalidInputError("tradeoff figures require a one-dimensional scenario")
     n, seed = config.n, config.master_seed
-    # points, uniforms, noise and labels, plus three rows per grid point at
-    # the peak: the edges, and predict_rows' copy of the labels and product
-    check_float_budget(n * (3 * _GRID_POINTS + 4), "a tradeoff figure of %d nodes", n)
+    # points, uniforms, noise and labels, plus two rows per grid point at
+    # the peak: the edges and predict_rows' product
+    check_float_budget(n * (2 * _GRID_POINTS + 4), "a tradeoff figure of %d nodes", n)
     pts = config.density.sample(rngmod.stream(seed, rngmod.LATENT, 0), (n,))
     u = rngmod.stream(seed, rngmod.EDGE, 0).random(n)
     y = config.regression.evaluate(pts) + config.noise.sample(
@@ -85,8 +85,10 @@ def tradeoff_svg(config) -> str:
     gx = np.linspace(float(lo[0]), float(hi[0]), _GRID_POINTS)
     f_true = config.regression.evaluate(gx[:, None])
 
-    edges = (u < config.kernel.edge_probabilities(gx[:, None, None], pts[None])).astype(
-        np.float64)
+    # One grid row at a time, so the kernel's temporaries stay n long.
+    edges = np.empty((_GRID_POINTS, n))
+    for row, g in zip(edges, gx):
+        np.less(u, config.kernel.edge_probabilities(g, pts), out=row)
     est, _ = predict_rows(np.broadcast_to(y, edges.shape), edges)
 
     y_all = np.concatenate([y, f_true, est])

@@ -664,7 +664,9 @@ class LinearFunction(Regression):
             object.__setattr__(self, "holder", (1.0, float(np.linalg.norm(s))))
 
     def evaluate(self, pts):
-        pts = _as_points(pts, len(self.slope))
+        # A matrix product sums in another order on F-ordered points at d = 3,
+        # so they are copied to C order first; C-ordered points are not copied.
+        pts = np.ascontiguousarray(_as_points(pts, len(self.slope)))
         return pts @ np.asarray(self.slope) + self.intercept
 
 

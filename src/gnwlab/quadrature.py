@@ -2,9 +2,11 @@
 
 The theory layer treats its integrals as exact, so every integration here
 reports its own error estimate alongside the value.  The workhorse is an
-adaptive Gauss-Legendre scheme (nested 7/15-point panels, worst-panel-first
-refinement) that accepts breakpoints -- kernel kink radii, support faces,
-regression cusps -- so panels never straddle a known non-smooth point.
+adaptive Gauss-Legendre scheme (worst-panel-first refinement) that accepts
+breakpoints -- kernel kink radii, support faces, regression cusps -- so
+panels never straddle a known non-smooth point.  A panel's value is its
+15-point rule and its error the distance to its 7-point rule; the two share
+no node, so a panel costs 22 evaluations.
 
 The 1-d rule runs many independent integrals ("lanes") in lockstep.  Each
 lane keeps its own breakpoints, panels, running totals, stopping test and
@@ -25,7 +27,7 @@ takes over.
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -54,16 +56,16 @@ _LANE_GROUP = 64
 def _panels(g, lane: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Values and GL7-vs-GL15 error estimates of panels [lo, hi] of the given lanes.
 
-    Each panel is reduced with its own ``np.dot``: a batched matrix product
-    sums in another order and changes the last bits.
+    ``np.vecdot`` makes one BLAS dot call per panel, as ``np.dot`` on that
+    panel's row would, so it gives the same bits.  A matrix product blocks
+    the rows together and sums in another order, which changes the last bits.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     ts = (mid[:, None] + half[:, None] * _NODES).ravel()
     vals = np.asarray(g(np.repeat(lane, _PANEL_EVALS), ts), dtype=float).reshape(-1, _PANEL_EVALS)
-    count = vals.shape[0]
-    v7 = half * np.fromiter(map(_W7.dot, vals[:, :7]), float, count)
-    v15 = half * np.fromiter(map(_W15.dot, vals[:, 7:]), float, count)
+    v7 = half * np.vecdot(vals[:, :7], _W7)
+    v15 = half * np.vecdot(vals[:, 7:], _W15)
     return v15, np.abs(v15 - v7)
 
 
@@ -77,14 +79,14 @@ def _edges(lo: float, hi: float, cuts: np.ndarray) -> np.ndarray:
 
 
 def _fsum_rows(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """math.fsum of each row's kept entries."""
-    flat = values[keep].tolist()
-    out = np.empty(len(values))
-    start = 0
-    for i, count in enumerate(keep.sum(axis=1).tolist()):
-        out[i] = math.fsum(flat[start:start + count])
-        start += count
-    return out
+    """math.fsum of each row's kept entries.
+
+    One iterator runs over the kept entries in row order; each row's islice
+    takes its own count of them from it.
+    """
+    flat = iter(values[keep].tolist())
+    counts = keep.sum(axis=1).tolist()
+    return np.fromiter(map(math.fsum, map(islice, repeat(flat), counts)), float, len(counts))
 
 
 def _lane_group(g, lanes, lo, hi, cuts, rel_tol, abs_tol, max_panels):
@@ -96,20 +98,21 @@ def _lane_group(g, lanes, lo, hi, cuts, rel_tol, abs_tol, max_panels):
     v0, e0 = _panels(g, lanes[row], a0, b0)
     evals = _PANEL_EVALS * row.size
 
-    # panels[lane, slot] = (lo, hi, value, error), slots in creation order so
-    # that the first maximum of an error row is the oldest of the worst
+    # panels[:, lane, slot] = (lo, hi, value, error), slots in creation order
+    # so that the first maximum of an error row is the oldest of the worst
     # panels.  Popped and unused slots have error -inf.
     size, width = has.shape
-    panels = np.zeros((size, 2 * width + 6, 4))
-    panels[:, :, 3] = -np.inf
-    panels[row, col] = np.column_stack([a0, b0, v0, e0])
-    # sums[lane] = (value, L1 mass, error), each added panel by panel in the
-    # lane's own order; the L1 mass is the roundoff floor under cancellation.
-    first = np.zeros((size, width, 3))
-    first[row, col] = np.column_stack([v0, np.abs(v0), e0])
-    sums = np.zeros((size, 3))
+    panels = np.zeros((4, size, 2 * width + 6))
+    panels[3] = -np.inf
+    panels[:, row, col] = a0, b0, v0, e0
+    # sums[:, lane] = (value, L1 mass, error), each added panel by panel in
+    # the lane's own order; the L1 mass is the roundoff floor under
+    # cancellation.
+    first = np.zeros((3, size, width))
+    first[:, row, col] = v0, np.abs(v0), e0
+    sums = np.zeros((3, size))
     for j in range(width):
-        sums += first[:, j]
+        sums += first[:, :, j]
     count = has.sum(axis=1)  # live panels
     used = count.copy()  # slots taken
     idx = np.arange(size)  # group rows of the lanes still refining
@@ -117,7 +120,7 @@ def _lane_group(g, lanes, lo, hi, cuts, rel_tol, abs_tol, max_panels):
     value = np.empty(size)
     error = np.empty(size)
     while True:
-        total, total_abs, total_err = sums.T
+        total, total_abs, total_err = sums
         target = np.maximum(np.maximum(abs_tol, rel_tol * np.abs(total)), 1e-15 * total_abs)
         met = total_err <= target
         finite = np.isfinite(total) & np.isfinite(total_err)
@@ -130,27 +133,26 @@ def _lane_group(g, lanes, lo, hi, cuts, rel_tol, abs_tol, max_panels):
                 why = (f"error {total_err[k]:.3e} above target" if finite[k]
                        else f"non-finite value {total[k]} (error {total_err[k]})")
                 raise QuadratureError(f"interval [{lo}, {hi}]: {why} after {count[k]} panels")
-            done = panels[stop]
-            live = done[:, :, 3] != -np.inf
-            value[idx[stop]] = _fsum_rows(done[:, :, 2], live)
-            error[idx[stop]] = _fsum_rows(done[:, :, 3], live)
+            done = panels[:, stop]
+            live = done[3] != -np.inf
+            value[idx[stop]] = _fsum_rows(done[2], live)
+            error[idx[stop]] = _fsum_rows(done[3], live)
             keep = ~stop
             if not keep.any():
                 return value, error, evals
-            idx, panels, sums, count, used = (
-                arr[keep] for arr in (idx, panels, sums, count, used)
-            )
+            idx, count, used = idx[keep], count[keep], used[keep]
+            panels, sums = panels[:, keep], sums[:, keep]
 
         # Pop each lane's worst panel.
         r = np.arange(idx.size)
-        j = panels[:, :, 3].argmax(axis=1)
-        a, b, v, e = panels[r, j].T
-        panels[r, j, 3] = -np.inf
-        sums -= np.column_stack([v, np.abs(v), e])
-        if used.max() + 2 > panels.shape[1]:
-            pad = np.zeros((idx.size, panels.shape[1], 4))
-            pad[:, :, 3] = -np.inf
-            panels = np.concatenate([panels, pad], axis=1)
+        j = panels[3].argmax(axis=1)
+        a, b, v, e = panels[:, r, j]
+        panels[3, r, j] = -np.inf
+        sums -= v, np.abs(v), e
+        if used.max() + 2 > panels.shape[2]:
+            pad = np.zeros_like(panels)
+            pad[3] = -np.inf
+            panels = np.concatenate([panels, pad], axis=2)
 
         mid = 0.5 * (a + b)
         split = (mid > a) & (mid < b)
@@ -158,11 +160,9 @@ def _lane_group(g, lanes, lo, hi, cuts, rel_tol, abs_tol, max_panels):
         # with no error left to refine.
         flat = np.flatnonzero(~split)
         if flat.size:
-            panels[flat, used[flat]] = np.column_stack(
-                [a[flat], b[flat], v[flat], np.zeros(flat.size)]
-            )
+            panels[:, flat, used[flat]] = a[flat], b[flat], v[flat], np.zeros(flat.size)
             used[flat] += 1
-            sums[flat, :2] += np.column_stack([v[flat], np.abs(v[flat])])
+            sums[:2, flat] += v[flat], np.abs(v[flat])
 
         rs = np.flatnonzero(split)
         if rs.size:
@@ -170,13 +170,14 @@ def _lane_group(g, lanes, lo, hi, cuts, rel_tol, abs_tol, max_panels):
             # lower halves first, then the upper ones.
             lows = np.concatenate([a[rs], mid[rs]])
             highs = np.concatenate([mid[rs], b[rs]])
-            vv, ee = _panels(g, np.tile(lanes[idx[rs]], 2), lows, highs)
+            group = lanes[idx[rs]]
+            vv, ee = _panels(g, np.concatenate([group, group]), lows, highs)
             evals += 2 * _PANEL_EVALS * rs.size
             slots = np.concatenate([used[rs], used[rs] + 1])
-            panels[np.tile(rs, 2), slots] = np.column_stack([lows, highs, vv, ee])
-            added = np.column_stack([vv, np.abs(vv), ee])
-            sums[rs] += added[:rs.size]
-            sums[rs] += added[rs.size:]
+            panels[:, np.concatenate([rs, rs]), slots] = lows, highs, vv, ee
+            added = np.array([vv, np.abs(vv), ee])
+            sums[:, rs] += added[:, :rs.size]
+            sums[:, rs] += added[:, rs.size:]
             used[rs] += 2
             count[rs] += 1
 
@@ -267,6 +268,12 @@ def integrate_box(
     holds axis-k breakpoint coordinates; ``spheres`` holds (center, radius)
     surfaces whose axis crossings are computed level by level.  Dimensions
     above 3 use a deterministic Halton rule with a jackknife error bar.
+
+    At d = 2 and 3 the points are column-major (a transposed (d, m)
+    buffer), so that per-axis arithmetic runs on contiguous columns.  ``f``
+    must give the same bits for any layout of the same points: numpy sums
+    fewer than 8 terms in axis order either way, but a matrix product does
+    not.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -298,10 +305,10 @@ def integrate_box(
         if axis == d - 1:
 
             def g(lane, ts):
-                pts = np.empty((ts.shape[0], d))
-                pts[:, :axis] = fixed[lane]
-                pts[:, axis] = ts
-                return f(pts)
+                cols = np.empty((d, ts.shape[0]))
+                cols[:axis] = fixed.T.take(lane, axis=1)
+                cols[axis] = ts
+                return f(cols.T)
 
             value, error, evals = _adaptive_lanes(
                 g, lo[axis], hi[axis], cuts, rel_tol=inner_tols[d], abs_tol=1e-300,

@@ -590,7 +590,7 @@ def test_float_budget_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "budget" in err
     # The tradeoff figure's budget counts its grid rows too.
     payload = json.loads(open(_cfg("figure_tradeoff.json")).read())
-    payload["n"] = 600_000  # 600,000 x 775 float64 values, above 1 GiB
+    payload["n"] = 600_000  # 600,000 x 518 float64 values, above 1 GiB
     big.write_text(json.dumps(payload))
     code = _run("figure", "--config", str(big), "--kind", "tradeoff",
                 "--out", str(tmp_path / "t.svg"))

@@ -167,6 +167,53 @@ def test_density_eval_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# point layout
+# ---------------------------------------------------------------------------
+
+
+def _layout_calls(d):
+    """Every density, regression and kernel evaluation of model.py in d dimensions."""
+    c = np.array([0.1, -0.2, 0.3][:d])
+    densities = [
+        UniformCube(lo=(-1.0,) * d, hi=(1.0,) * d),
+        UniformBall(center=tuple(c), radius=1.1),
+        GaussianDensity(mean=tuple(-c), stddev=0.7),
+        MixtureDensity(components=(
+            (0.3, UniformCube(lo=(-1.0,) * d, hi=(0.5,) * d)),
+            (0.7, UniformBall(center=tuple(c), radius=0.9)),
+        )),
+    ]
+    regressions = [
+        ConstantFunction(0.4),
+        LinearFunction(slope=(0.3, -1.7, 2.9)[:d], intercept=0.25, bound=10.0),
+        SinusoidFunction(amplitude=0.8, frequency=2.0, phase=0.3),
+        CuspFunction(scale=1.3, exponent=0.5, anchor=tuple(c), bound=0.9),
+    ]
+    calls = [(f"{type(dens).__name__}.{name}", getattr(dens, name))
+             for dens in densities for name in ("pdf", "support_contains")]
+    calls += [(f"{type(f).__name__}.evaluate", f.evaluate) for f in regressions]
+    for base in ALL_KERNELS:
+        spec = KernelSpec(base, alpha=0.7, h=0.6)
+        calls.append((f"{base.name}.edge_probabilities",
+                      lambda pts, spec=spec: spec.edge_probabilities(-c, pts)))
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_models_ignore_point_layout(d):
+    # integrate_box hands its integrands column-major points, and every
+    # pinned theory value assumes they give the bits of C-ordered ones.
+    rng = np.random.default_rng(d)
+    pts = rng.uniform(-1.5, 1.5, (5000, d)) * 10.0 ** rng.uniform(-3, 0, (5000, 1))
+    cols = np.asfortranarray(pts)
+    assert d == 1 or not cols.flags.c_contiguous
+    for name, call in _layout_calls(d):
+        want, got = call(pts), call(cols)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
 # regression functions
 # ---------------------------------------------------------------------------
 

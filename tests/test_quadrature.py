@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gnwlab import quadrature
+from gnwlab import quadrature, theory
 from gnwlab.errors import QuadratureError
 from gnwlab.model import KernelSpec, TriangleKernel, UniformBall
 from gnwlab.quadrature import QuadResult, adaptive_interval, integrate_box
@@ -180,6 +180,22 @@ def test_adaptive_interval_matches_heap_rule(f, lo, hi, kwargs):
         assert adaptive_interval(f, lo, hi, **kwargs) == expected
 
 
+def test_panel_reduction_matches_per_row_dot():
+    # _panels reduces all rows with np.vecdot; each row must keep the bits of
+    # its own np.dot, which the per-node reference rule uses.
+    rng = np.random.default_rng(5)
+    count = 3000
+    vals = rng.standard_normal((count, 22)) * 10.0 ** rng.uniform(-8, 8, (count, 1))
+    lo = rng.uniform(-2.0, 1.0, count)
+    hi = lo + 10.0 ** rng.uniform(-9, 0.5, count)
+    v15, err = quadrature._panels(lambda lane, ts: vals.ravel(), np.arange(count), lo, hi)
+    for k in range(count):
+        half = 0.5 * (hi[k] - lo[k])
+        v7 = half * _W7.dot(vals[k, :7])
+        want = half * _W15.dot(vals[k, 7:])
+        assert (v15[k], err[k]) == (want, abs(want - v7)), k
+
+
 def test_sphere_cuts_match_scalar_formula():
     # The crossings define the panels, so they must equal the scalar
     # r^2 - fsum((v - c_k) ** 2) formula bit for bit, not just closely.
@@ -290,3 +306,16 @@ def test_3d_window_integrand_calls_bounded(monkeypatch):
     c_n, err = local_connection(ball, kernel, (0.0, 0.0, 0.0), rel_tol=1e-3)
     assert abs(c_n - 15.0 * 0.4**3 / 32.0) <= err
     assert len(calls) < 1000
+
+
+@pytest.mark.parametrize("rel_tol, expected", [
+    (1e-8, QuadResult(0.02999999999979543, 6.640951458886103e-11, 4100558)),
+    (1e-3, QuadResult(0.029999988164078478, 2.1536942377436805e-06, 265782)),
+])
+def test_3d_window_integral_pinned(rel_tol, expected):
+    # The benchmark's 3-D c_n call (exact value 15 h^3 / 32 = 0.03), pinned
+    # bit for bit: a change to the rule, the reductions or the point layout
+    # that moves any value, error or count fails here.
+    ball = UniformBall(center=(0.0, 0.0, 0.0), radius=1.0)
+    kernel = KernelSpec(TriangleKernel(), alpha=1.0, h=0.4)
+    assert theory._window_integral(ball, kernel, np.zeros(3), rel_tol=rel_tol) == expected
