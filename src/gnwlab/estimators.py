@@ -8,8 +8,9 @@ coincide bit for bit on a common draw.
 
 All row reductions go through one shared routine, ``predict_rows``: single
 neighborhoods pass one row, the Monte Carlo driver passes the rows of a
-window batch.  Window rows are padded with zero weights, which add nothing
-to either sum; a row's value depends only on the batch it lies in, so it is
+group of window batches that share a padded width.  Window rows are padded
+with zero weights, which add nothing to either sum; a row is always padded
+to its own batch's width, so its value depends only on that batch and is
 independent of how the driver groups or schedules batches.
 """
 

@@ -9,14 +9,18 @@ Window batches (Monte Carlo).  Under a kernel supported in B(x, h r_K), only
 nodes in a window W containing that ball can connect to x.  The nodes of an
 n-point draw that fall in W form a binomial point process: N_w ~ Bin(n, pi_w)
 of them, iid from p restricted to W, where pi_w = P(X in W).  A window batch
-draws exactly that for each of its rows, applies the edge rule U < k(x, X)
-and pads the rows to the batch's largest N_w with edges that never fire.
-Each batch belongs to one query point and owns one stream, keyed by
-(master_seed, query index, batch index); the rows per batch depend only on
-(n, pi_w, d).  A replication's prediction therefore depends only on
-(master_seed, its query index, its index within that query), never on the
-replication count, the other query points or the worker-thread count.  A
-replication costs O(n pi_w) instead of O(n).
+draws exactly that for each of its rows, and their edge uniforms: it is
+drawn whole up to the edge uniforms.  Its noise, labels and edges, U < k(x,
+X), are drawn and computed for the rows that are used only, and each row is
+padded to the batch's largest N_w with edges that never fire.  Each batch
+belongs to one query point and owns one stream, keyed by (master_seed,
+query index, batch index); the rows per batch depend only on (n, pi_w, d).
+``window_group`` draws consecutive batches, of one query point or several,
+and evaluates their used rows together, each bit for bit as its batch alone
+would.  A replication's prediction therefore depends only on (master_seed,
+its query index, its index within that query), never on the replication
+count, the other query points, how batches are grouped or the worker-thread
+count.  A replication costs O(n pi_w) instead of O(n).
 
 Single draws (``sample_neighborhood``, the tradeoff figure).  These keep the
 full n-point draw, organized in fixed-size batches: replication ``r`` lives
@@ -59,6 +63,7 @@ __all__ = [
     "check_float_budget",
     "QueryNeighborhood",
     "QueryWindow",
+    "WindowGroup",
     "WindowBatch",
     "FullGraph",
     "SeedRecord",
@@ -129,6 +134,43 @@ class QueryWindow:
 
 
 @dataclass(frozen=True)
+class WindowGroup:
+    """The used rows of consecutive window batches, sorted by padded width.
+
+    ``rows[r]`` is row r's position among the batches' used rows in row
+    order.  Row r holds counts[r] window nodes, which come in row order in
+    ``points``, ``labels`` and ``edges``; ``widths[r]`` is the width its
+    batch pads its rows to, the largest count among all the batch's rows.
+    """
+
+    rows: np.ndarray  # (rows,) int
+    counts: np.ndarray  # (rows,) int
+    widths: np.ndarray  # (rows,) int, ascending
+    points: np.ndarray  # (counts.sum(), d)
+    labels: np.ndarray  # (counts.sum(),)
+    edges: np.ndarray  # (counts.sum(),) float edge indicators
+
+    def padded(self):
+        """Yield (rows, labels, edges) once per distinct width m, ascending.
+
+        ``rows`` holds the positions of the rows of width m; labels and
+        edges are their (len(rows), m) arrays, a row's nodes first and zeros
+        after them.  A row thus keeps the width it has in its own batch,
+        which fixes the order in which numpy sums it.
+        """
+        ends = np.flatnonzero(np.diff(self.widths)).tolist()
+        cuts = [0, *(e + 1 for e in ends), self.widths.shape[0]]
+        nodes = np.concatenate(([0], np.cumsum(self.counts))).tolist()
+        for lo, hi in zip(cuts, cuts[1:]):
+            fill = np.arange(self.widths[lo]) < self.counts[lo:hi, None]
+            labels = np.zeros(fill.shape)
+            labels[fill] = self.labels[nodes[lo]:nodes[hi]]
+            edges = np.zeros(fill.shape)
+            edges[fill] = self.edges[nodes[lo]:nodes[hi]]
+            yield self.rows[lo:hi], labels, edges
+
+
+@dataclass(frozen=True)
 class WindowBatch:
     """One window batch of a query point, rows padded to m = counts.max().
 
@@ -145,10 +187,10 @@ class WindowBatch:
 class NeighborhoodSampler:
     """Draws query neighborhoods for one scenario, batch by batch.
 
-    ``batch`` draws whole n-point rows for single draws; ``window_batch``
-    draws only the nodes that can connect to one query point, for the Monte
-    Carlo driver.  The sampler keeps no state between calls and may be
-    shared by worker threads.
+    ``batch`` draws whole n-point rows for single draws; ``window_group``
+    draws only the nodes that can connect to a query point, for the Monte
+    Carlo driver, and ``window_batch`` is its one-batch case.  The sampler
+    keeps no state between calls and may be shared by worker threads.
     """
 
     def __init__(self, density: Density, kernel: KernelSpec, regression: Regression,
@@ -196,31 +238,57 @@ class NeighborhoodSampler:
         mass = min(1.0, self.density.window_mass(x, self.kernel.support_radius))
         return QueryWindow(x, mass, self.n * mass)
 
+    def window_group(self, batches) -> WindowGroup:
+        """Draw window batches and evaluate the rows that are used.
+
+        ``batches`` holds (window, query index, batch index, used rows) of
+        each batch, in row order.  Each batch draws from its own stream, in
+        this order: the counts N_w ~ Bin(n, pi_w) of all its rows, then
+        their window points and edge uniforms, then the noise of its first
+        ``used`` rows only.  Every draw is one flat fill in row order, so
+        that noise is the first part of the whole batch's noise.  The labels
+        and the edge test then run once over the used nodes of all batches.
+        """
+        d = self.density.dim
+        drawn = []
+        first = 0
+        for window, query_index, batch_index, used in batches:
+            rows = window.batch_rows(batch_index)
+            gen = rngmod.stream(self.master_seed, rngmod.WINDOW, query_index, batch_index)
+            counts = gen.binomial(self.n, window.mass, size=rows)
+            total, m = int(counts.sum()), int(counts.max())
+            check_float_budget(total * (d + 3) + 2 * rows * m,
+                               "a batch of %d rows and %d nodes", rows, total)
+            points = self.density.window_sample(gen, window.x, self.kernel.support_radius, total)
+            uniforms = gen.random(total)
+            nodes = int(counts[:used].sum())
+            noise = self.noise.sample(gen, (nodes,))
+            drawn.append((m, np.arange(first, first + used), counts[:used], window.x,
+                          points[:nodes], uniforms[:nodes], noise))
+            first += used
+        # Batches of one width then lie together: one slice for ``padded``.
+        drawn.sort(key=lambda batch: batch[0])
+        widths, positions, counts, centres, points, uniforms, noise = zip(*drawn)
+        used = [p.shape[0] for p in positions]
+        centres = np.repeat(np.array(centres), [p.shape[0] for p in points], axis=0)
+        points = np.concatenate(points)
+        labels = self.regression.evaluate(points) + np.concatenate(noise)
+        edges = self.edges(centres, points, np.concatenate(uniforms))
+        return WindowGroup(np.concatenate(positions), np.concatenate(counts),
+                           np.repeat(widths, used), points, labels, edges)
+
     def window_batch(self, window: QueryWindow, query_index: int,
                      batch_index: int) -> WindowBatch:
         """Batch ``batch_index`` of the query point with index ``query_index``.
 
         Its rows are the query's replications in the order of
-        ``window.batches``.  The batch is always drawn whole, from one
-        stream: the counts N_w ~ Bin(n, pi_w) of every row, then their window
-        points, edge uniforms and noise, each as one flat draw in row order.
+        ``window.batches``: the one-batch case of ``window_group`` with every
+        row used.
         """
-        d = self.density.dim
         rows = window.batch_rows(batch_index)
-        gen = rngmod.stream(self.master_seed, rngmod.WINDOW, query_index, batch_index)
-        counts = gen.binomial(self.n, window.mass, size=rows)
-        total, m = int(counts.sum()), int(counts.max())
-        check_float_budget(total * (d + 3) + 2 * rows * m,
-                           "a batch of %d rows and %d nodes", rows, total)
-        points = self.density.window_sample(gen, window.x, self.kernel.support_radius, total)
-        unif = gen.random(total)
-        labels = self.regression.evaluate(points) + self.noise.sample(gen, (total,))
-        used = np.arange(m) < counts[:, None]
-        padded_edges = np.zeros((rows, m))
-        padded_edges[used] = self.edges(window.x, points, unif)
-        padded_labels = np.zeros((rows, m))
-        padded_labels[used] = labels
-        return WindowBatch(counts, points, padded_edges, padded_labels)
+        drawn = self.window_group([(window, query_index, batch_index, rows)])
+        (_, labels, edges), = drawn.padded()
+        return WindowBatch(drawn.counts, drawn.points, edges, labels)
 
     def edges(self, x, points: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """Float edge indicators between x and points, given their uniforms.

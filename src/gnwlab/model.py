@@ -103,6 +103,11 @@ class _RadialKernel:
     kink_radii: tuple[float, ...] = (1.0,)
 
     def profile(self, r: np.ndarray) -> np.ndarray:
+        """K(r) for an array of radii."""
+        return self.profile_into(np.array(r, dtype=float))
+
+    def profile_into(self, r: np.ndarray) -> np.ndarray:
+        """Overwrite the float64 array r with K(r) and return it."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -121,8 +126,8 @@ class IndicatorKernel(_RadialKernel):
     name = "indicator"
     kink_radii = (1.0,)
 
-    def profile(self, r):
-        return (np.asarray(r, dtype=float) <= 1.0).astype(float)
+    def profile_into(self, r):
+        return np.less_equal(r, 1.0, out=r)
 
 
 class TriangleKernel(_RadialKernel):
@@ -132,8 +137,10 @@ class TriangleKernel(_RadialKernel):
     default_m1 = 0.75  # 2 - 2r >= 1/2 exactly for r <= 3/4
     kink_radii = (0.5, 1.0)
 
-    def profile(self, r):
-        return np.clip(2.0 - 2.0 * np.asarray(r, dtype=float), 0.0, 1.0)
+    def profile_into(self, r):
+        r *= 2.0
+        np.subtract(2.0, r, out=r)
+        return np.clip(r, 0.0, 1.0, out=r)
 
 
 class HalfPlateauKernel(_RadialKernel):
@@ -142,9 +149,12 @@ class HalfPlateauKernel(_RadialKernel):
     name = "half_plateau"
     kink_radii = (0.5, 1.0)
 
-    def profile(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= 0.5, 1.0, np.where(r <= 1.0, 0.5, 0.0))
+    def profile_into(self, r):
+        inner = r <= 0.5
+        np.less_equal(r, 1.0, out=r)
+        r *= 0.5
+        r[inner] = 1.0
+        return r
 
 
 _KERNELS_BY_NAME = {
@@ -197,7 +207,14 @@ class KernelSpec:
 
     def profile_at(self, dist: np.ndarray) -> np.ndarray:
         """alpha * K(dist / h) for an array of distances."""
-        return self.alpha * self.base.profile(np.asarray(dist, dtype=float) / self.h)
+        return self._profile_into(np.array(dist, dtype=float))
+
+    def _profile_into(self, dist: np.ndarray) -> np.ndarray:
+        """Overwrite the float64 array dist with alpha * K(dist / h) and return it."""
+        dist /= self.h
+        self.base.profile_into(dist)
+        dist *= self.alpha
+        return dist
 
     def scaled_eval(self, x, z) -> float:
         """k(x, z) = alpha * K((x - z) / h); symmetric in (x, z)."""
@@ -206,9 +223,17 @@ class KernelSpec:
         return float(self.profile_at(np.linalg.norm(x - z)))
 
     def edge_probabilities(self, x: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """k(x, X_i) for points of shape (..., d)."""
-        dist = np.sqrt(np.sum((points - x) ** 2, axis=-1))
-        return self.profile_at(dist)
+        """k(x, X_i) for points of shape (..., d); x broadcasts against them.
+
+        The arithmetic runs in place on the differences and then on the
+        distances, so at its peak the call holds one array of the broadcast
+        (..., d) shape and one of its (...) distances.
+        """
+        diff = np.subtract(points, x)
+        diff *= diff
+        dist = np.sum(diff, axis=-1, keepdims=True)
+        del diff
+        return self._profile_into(np.sqrt(dist, out=dist))[..., 0]
 
     # -- geometry ----------------------------------------------------------
 
@@ -664,10 +689,14 @@ class LinearFunction(Regression):
             object.__setattr__(self, "holder", (1.0, float(np.linalg.norm(s))))
 
     def evaluate(self, pts):
-        # A matrix product sums in another order on F-ordered points at d = 3,
-        # so they are copied to C order first; C-ordered points are not copied.
-        pts = np.ascontiguousarray(_as_points(pts, len(self.slope)))
-        return pts @ np.asarray(self.slope) + self.intercept
+        # Summed one coordinate at a time: a matrix product may round a
+        # point's value differently with its position in the array or the
+        # array's memory order, and this sum does neither.
+        pts = _as_points(pts, len(self.slope))
+        value = pts[..., 0] * self.slope[0]
+        for j in range(1, len(self.slope)):
+            value += pts[..., j] * self.slope[j]
+        return value + self.intercept
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,18 @@
 
 Replications are vectorised in window batches (see :mod:`gnwlab.graph`):
 each draws, per replication, only the nodes that can connect to its query
-point.  One driver draws every batch once and runs the batches on a worker
-pool.  Batch boundaries and the final reduction order are fixed by the
-scenario and the query points alone, so every estimate is bit-identical
-across thread counts, and a query point's predictions do not depend on the
-other query points.  The scenario config is the only source of a run's
-parameters: the master seed, the model and, for the integrated risk, the
-outer/inner split; callers choose only the replication count R of a
-fixed-point run and the thread count.  Estimators take a
-:class:`PredictionBatch`.  An exhaustive 2^n enumeration oracle over the
-conditional edge distribution provides exact small-n expectations to check
-the Monte Carlo and the closed-form theory against.
+point.  One driver draws every batch once and runs consecutive batches in
+groups, one job per group on a worker pool.  Batch boundaries and the final
+reduction order are fixed by the scenario and the query points alone, and
+a row is summed at its own batch's padded width whatever group it is in,
+so every estimate is bit-identical across thread counts, and a query
+point's predictions do not depend on the other query points.  The scenario
+config is the only source of a run's parameters: the master seed, the
+model and, for the integrated risk, the outer/inner split; callers choose
+only the replication count R of a fixed-point run and the thread count.
+Estimators take a :class:`PredictionBatch`.  An exhaustive 2^n enumeration
+oracle over the conditional edge distribution provides exact small-n
+expectations to check the Monte Carlo and the closed-form theory against.
 """
 
 import math
@@ -91,9 +92,11 @@ def _map_replications(config, xs: np.ndarray, per_query: int,
 
     Replication r queries xs[r // per_query].  Each query point's
     replications come from its own window batches (see
-    ``NeighborhoodSampler.window_batch``), so a batch never spans two query
-    points; every batch is one job on a pool of ``threads`` workers sharing
-    a single sampler.
+    ``NeighborhoodSampler.window_group``), so a batch never spans two query
+    points.  Consecutive batches, which may span query points, form groups
+    of at most ``_WINDOW_ELEMENT_BUDGET`` elements, and a batch that would
+    take a group over the budget starts the next one.  Every group is one
+    job on a pool of ``threads`` workers sharing a single sampler.
     """
     if threads < 1:
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
@@ -105,17 +108,22 @@ def _map_replications(config, xs: np.ndarray, per_query: int,
     check_float_budget(2 * count, "a run of %d replications", count)
     values = np.empty(count, dtype=np.float64)
     masses = np.empty_like(values)
-    jobs = []
+    jobs, group, elements = [], None, 0.0
     for q, x in enumerate(xs):
         window = sampler.window(x)
-        jobs.extend((window, q, b, lo, min(rows, per_query - lo))
-                    for b, lo, rows in window.batches(per_query))
+        row_elements = rngmod.window_row_elements(window.expected, config.dimension)
+        for b, lo, rows in window.batches(per_query):
+            size = rows * row_elements
+            if group is None or elements + size > rngmod._WINDOW_ELEMENT_BUDGET:
+                group, elements = [], 0.0
+                jobs.append((q * per_query + lo, group))
+            group.append((window, q, b, min(rows, per_query - lo)))
+            elements += size
 
     def fill(job):
-        window, q, b, lo, k = job
-        w = sampler.window_batch(window, q, b)
-        t = q * per_query + lo
-        values[t:t + k], masses[t:t + k] = predict_rows(w.labels[:k], w.edges[:k])
+        start, batches = job
+        for rows, labels, edges in sampler.window_group(batches).padded():
+            values[start + rows], masses[start + rows] = predict_rows(labels, edges)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(fill, jobs))

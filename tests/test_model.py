@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,16 @@ def test_density_eval_dimension_mismatch():
 # ---------------------------------------------------------------------------
 
 
+def _regressions(d):
+    c = (0.1, -0.2, 0.3)[:d]
+    return [
+        ConstantFunction(0.4),
+        LinearFunction(slope=(0.3, -1.7, 2.9)[:d], intercept=0.25, bound=10.0),
+        SinusoidFunction(amplitude=0.8, frequency=2.0, phase=0.3),
+        CuspFunction(scale=1.3, exponent=0.5, anchor=c, bound=0.9),
+    ]
+
+
 def _layout_calls(d):
     """Every density, regression and kernel evaluation of model.py in d dimensions."""
     c = np.array([0.1, -0.2, 0.3][:d])
@@ -183,20 +194,66 @@ def _layout_calls(d):
             (0.7, UniformBall(center=tuple(c), radius=0.9)),
         )),
     ]
-    regressions = [
-        ConstantFunction(0.4),
-        LinearFunction(slope=(0.3, -1.7, 2.9)[:d], intercept=0.25, bound=10.0),
-        SinusoidFunction(amplitude=0.8, frequency=2.0, phase=0.3),
-        CuspFunction(scale=1.3, exponent=0.5, anchor=tuple(c), bound=0.9),
-    ]
     calls = [(f"{type(dens).__name__}.{name}", getattr(dens, name))
              for dens in densities for name in ("pdf", "support_contains")]
-    calls += [(f"{type(f).__name__}.evaluate", f.evaluate) for f in regressions]
+    calls += [(f"{type(f).__name__}.evaluate", f.evaluate) for f in _regressions(d)]
     for base in ALL_KERNELS:
         spec = KernelSpec(base, alpha=0.7, h=0.6)
         calls.append((f"{base.name}.edge_probabilities",
                       lambda pts, spec=spec: spec.edge_probabilities(-c, pts)))
     return calls
+
+
+# Block sizes of a concatenation: empty, single and odd-sized blocks among them.
+_BLOCKS = (0, 1, 7, 64, 3, 129, 0, 5, 33, 1000)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_regressions_evaluate_a_concatenation_block_by_block(d):
+    # The Monte Carlo driver evaluates the nodes of many window batches in
+    # one call; each value must be the bits of the batch's own call.
+    rng = np.random.default_rng(10 + d)
+    blocks = [rng.uniform(-1.5, 1.5, (k, d)) for k in _BLOCKS]
+    for f in _regressions(d):
+        joined = f.evaluate(np.concatenate(blocks))
+        apart = np.concatenate([f.evaluate(b) for b in blocks])
+        assert joined.tobytes() == apart.tobytes(), type(f).__name__
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("base", ALL_KERNELS, ids=lambda b: b.name)
+def test_edge_probabilities_with_a_centre_per_row(base, d):
+    # The driver repeats each batch's query point once per node; that must
+    # give the bits of each batch's broadcast centre.
+    rng = np.random.default_rng(20 + d)
+    spec = KernelSpec(base, alpha=0.7, h=0.6)
+    centres = rng.uniform(-1.0, 1.0, (len(_BLOCKS), d))
+    blocks = [c + rng.uniform(-0.7, 0.7, (k, d)) for c, k in zip(centres, _BLOCKS)]
+    joined = spec.edge_probabilities(np.repeat(centres, _BLOCKS, axis=0), np.concatenate(blocks))
+    apart = np.concatenate([spec.edge_probabilities(c, b) for c, b in zip(centres, blocks)])
+    assert joined.tobytes() == apart.tobytes()
+    assert apart.min() == 0.0 and apart.max() == 0.7
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("base", ALL_KERNELS, ids=lambda b: b.name)
+def test_edge_probabilities_hold_at_most_two_input_arrays(base, d):
+    rng = np.random.default_rng(30 + d)
+    pts = rng.uniform(-1.0, 1.0, (100_000, d))
+    x = rng.uniform(-0.5, 0.5, d)
+    spec = KernelSpec(base, alpha=0.7, h=0.6)
+    want = spec.profile_at(np.sqrt(np.sum((pts - x) ** 2, axis=-1)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        got = spec.edge_probabilities(x, pts)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    # the differences, then their distances; the result is the distance array
+    assert peak <= pts.nbytes + pts.nbytes // d + 16384
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -274,6 +331,20 @@ def test_noise_moments_empirical(noise, rng):
     second_moment = float(np.mean(draws**2))
     se_var = float(np.std(draws**2, ddof=1)) / 1000.0
     assert abs(second_moment - noise.variance) <= 5.0 * se_var + 1e-12
+
+
+@pytest.mark.parametrize("noise", [
+    NoNoise(),
+    BoundedUniformNoise(sigma_b=1.0),
+    RademacherNoise(sigma_b=0.7),
+    GaussianNoise(stddev=1.3),
+], ids=lambda n: type(n).__name__)
+def test_noise_draws_are_prefixes(noise):
+    # A window batch draws noise for its used rows only, the last draw of
+    # its stream; that must be the first values of the whole batch's noise.
+    whole = noise.sample(np.random.default_rng(5), (1000,))
+    for k in (0, 1, 7, 500, 1000):
+        assert noise.sample(np.random.default_rng(5), (k,)).tobytes() == whole[:k].tobytes()
 
 
 def test_bounded_noise_respects_bound(rng):

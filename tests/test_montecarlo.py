@@ -1,18 +1,32 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from conftest import IDENTITY, unit_interval_scenario
+from gnwlab import montecarlo
+from gnwlab import rng as rngmod
 from gnwlab.errors import InvalidInputError, ResourceBudgetError
 from gnwlab.estimators import predict_rows
 from gnwlab.graph import NeighborhoodSampler
 from gnwlab.model import (
     BoundedUniformNoise,
     ConstantFunction,
+    CuspFunction,
+    GaussianDensity,
     GaussianNoise,
+    HalfPlateauKernel,
     IndicatorKernel,
     KernelSpec,
+    LinearFunction,
+    MixtureDensity,
+    NoNoise,
+    RademacherNoise,
+    SinusoidFunction,
+    TriangleKernel,
+    UniformBall,
+    UniformCube,
 )
 from gnwlab.montecarlo import (
     PredictionBatch,
@@ -26,6 +40,7 @@ from gnwlab.montecarlo import (
     oracle_mean_over_latents,
     run_replications,
 )
+from gnwlab.scenario import QuerySpec, ScenarioConfig, ScenarioConstants
 from gnwlab.theory import proxy_gap, smoothed_value
 
 Q10 = 0.8**10  # empty-neighborhood probability at c_n = 0.2, n = 10
@@ -76,6 +91,130 @@ def test_driver_matches_window_batches_across_batch_boundaries(n, per_query, row
             t = q * per_query + lo
             assert np.array_equal(batch.values[t:t + used], values[:used])
             assert np.array_equal(batch.masses[t:t + used], masses[:used])
+
+
+def _reference_window_batch(sampler, window, query_index, batch_index):
+    """(labels, edges) of one window batch, drawn and evaluated on its own:
+    the whole batch's counts, window points, edge uniforms and noise from its
+    stream, then its labels and edges padded to its largest count."""
+    rows = window.batch_rows(batch_index)
+    gen = rngmod.stream(sampler.master_seed, rngmod.WINDOW, query_index, batch_index)
+    counts = gen.binomial(sampler.n, window.mass, size=rows)
+    total, m = int(counts.sum()), int(counts.max())
+    points = sampler.density.window_sample(gen, window.x, sampler.kernel.support_radius, total)
+    unif = gen.random(total)
+    labels = sampler.regression.evaluate(points) + sampler.noise.sample(gen, (total,))
+    used = np.arange(m) < counts[:, None]
+    padded_edges = np.zeros((rows, m))
+    padded_edges[used] = sampler.edges(window.x, points, unif)
+    padded_labels = np.zeros((rows, m))
+    padded_labels[used] = labels
+    return padded_labels, padded_edges
+
+
+def _reference_driver(cfg, xs, per_query):
+    """The driver's predictions, one window batch at a time."""
+    sampler = NeighborhoodSampler(cfg.density, cfg.kernel, cfg.regression, cfg.noise,
+                                  cfg.n, cfg.master_seed)
+    values, masses = [], []
+    for q, x in enumerate(xs):
+        window = sampler.window(x)
+        for b, lo, rows in window.batches(per_query):
+            labels, edges = _reference_window_batch(sampler, window, q, b)
+            used = min(rows, per_query - lo)
+            v, m = predict_rows(labels[:used], edges[:used])
+            values.append(v)
+            masses.append(m)
+    return np.concatenate(values), np.concatenate(masses)
+
+
+@pytest.fixture
+def pool_jobs(monkeypatch):
+    """The jobs that each pool of the Monte Carlo driver runs, one list per pool."""
+    seen = []
+
+    class Recording(ThreadPoolExecutor):
+        def map(self, fn, jobs):
+            seen.append(list(jobs))
+            return super().map(fn, seen[-1])
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+    return seen
+
+
+def _densities(d):
+    cube = UniformCube(lo=(0.0,) * d, hi=(1.0,) * d)
+    ball = UniformBall(center=(0.5,) * d, radius=0.6)
+    gauss = GaussianDensity(mean=(0.5,) * d, stddev=0.3)
+    return [cube, ball, gauss, MixtureDensity(components=((0.6, cube), (0.4, gauss)))]
+
+
+KERNELS = [IndicatorKernel(), TriangleKernel(), HalfPlateauKernel()]
+NOISES = [NoNoise(), BoundedUniformNoise(sigma_b=0.5), RademacherNoise(sigma_b=0.3),
+          GaussianNoise(stddev=0.4)]
+
+
+def _regressions(d):
+    return [ConstantFunction(0.7),
+            LinearFunction(slope=(0.9, -1.3, 0.4)[:d], intercept=0.2, bound=3.0),
+            SinusoidFunction(amplitude=1.0, frequency=1.5, phase=0.2),
+            CuspFunction(scale=1.1, exponent=0.5, anchor=(0.4,) * d, bound=0.8)]
+
+
+# Every density in every dimension; the kernels, noises and regressions
+# rotate so that each meets every dimension.
+DRIVER_SCENARIOS = [(d, j) for d in (1, 2, 3) for j in range(4)]
+
+
+@pytest.mark.parametrize("budget", [None, 1, 1 << 40], ids=["default", "batch", "all"])
+@pytest.mark.parametrize("d,j", DRIVER_SCENARIOS,
+                         ids=[f"d{d}-{j}" for d, j in DRIVER_SCENARIOS])
+def test_driver_matches_batch_by_batch_reference(d, j, budget, pool_jobs, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(rngmod, "_WINDOW_ELEMENT_BUDGET", budget)
+    dens = _densities(d)[j]
+    cfg = ScenarioConfig(
+        dimension=d, n=300, density=dens,
+        kernel=KernelSpec(KERNELS[(j + d) % 3], alpha=0.8, h=0.3),
+        regression=_regressions(d)[(j + 2 * d) % 4], noise=NOISES[(j + d) % 4],
+        constants=ScenarioConstants(), query=QuerySpec(points=((0.5,) * d,)),
+        replications=100, master_seed=20261021 + d,
+    )
+    xs = dens.sample(np.random.default_rng(d + 10 * j), (3,))
+    xs[0] = 0.5
+    sampler = NeighborhoodSampler(dens, cfg.kernel, cfg.regression, cfg.noise, cfg.n, 0)
+    first = [r for _, _, r in sampler.window(xs[0]).batches(100)]
+    if budget == 1:  # one row per batch, so every run ends on a batch boundary
+        assert first == [1] * 100
+    else:  # 64 ends on a batch boundary, 100 inside the second batch
+        assert first[0] == 64 and len(first) == 2
+    for per_query in (64,) if budget == 1 else (64, 100):
+        want_values, want_masses = _reference_driver(cfg, xs, per_query)
+        batches = sum(len(list(sampler.window(x).batches(per_query))) for x in xs)
+        for threads in (1, 2, 3):
+            got = _map_replications(cfg, xs, per_query, threads=threads)
+            assert got.values.tobytes() == want_values.tobytes()
+            assert got.masses.tobytes() == want_masses.tobytes()
+            jobs = pool_jobs.pop()
+            assert sum(len(group) for _, group in jobs) == batches
+            if budget == 1:
+                assert len(jobs) == batches
+            elif budget is not None:
+                assert len(jobs) == 1
+
+
+def test_pool_jobs_are_groups_of_batches_within_the_budget(pool_jobs):
+    # The benchmark's sweep at its smallest bandwidth: 1000 query points of 50
+    # replications, each one batch of 64 rows of about 8 window nodes.
+    cfg = unit_interval_scenario(n=200, h=0.02, integrated=(1000, 50))
+    estimate_integrated_risk(cfg, threads=2)
+    jobs, = pool_jobs
+    budget = rngmod._WINDOW_ELEMENT_BUDGET
+    sizes = [sum(window.batch_rows(b) * rngmod.window_row_elements(window.expected, 1)
+                 for window, _, b, _ in group) for _, group in jobs]
+    assert sum(len(group) for _, group in jobs) == 1000
+    assert all(size <= budget or len(group) == 1 for size, (_, group) in zip(sizes, jobs))
+    assert len(jobs) <= math.ceil(sum(sizes) / budget) + 1
 
 
 def test_query_predictions_do_not_depend_on_other_queries():
